@@ -4,7 +4,7 @@ Subcommands:
   monitor SPEC [--events FILE|-] [--format lines|json] [--strict]
   traces  SPEC --depth K
   step    SPEC [--trace S] [--dot]
-  check   SPEC --depth K [--seed N] [--count M]
+  check   SPEC [--count M] [--seed N] [--max-size S]
 
 Exit codes: 0 success (monitor: final verdict RUNNING), 1 failure
 (monitor: FAILED, check: violations found), 2 usage or format errors.
@@ -37,7 +37,10 @@ def _iter_events(stream, fmt: str):
             continue
         if fmt == "json":
             record = json.loads(line)
-            yield record["event"]
+            event = record.get("event") if isinstance(record, dict) else None
+            if not isinstance(event, str):
+                raise ValueError(f'expected {{"event": "<name>"}}, got {line}')
+            yield event
         else:
             yield line
 
@@ -51,7 +54,7 @@ def cmd_monitor(args) -> int:
         for i, event in enumerate(events, start=1):
             state = feed(state, event)
             print(f"{i} {event} {state.verdict.value}")
-    except (json.JSONDecodeError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: malformed event record: {exc}", file=sys.stderr)
         return 2
     except OutOfAlphabetError as exc:
@@ -105,7 +108,11 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cspmon", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="cspmon",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monitor", help="run the monitor over an event stream")
@@ -129,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the conformance suite")
     p.add_argument("spec")
-    p.add_argument("--depth", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-size", type=int, default=8)
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CspmonError as exc:

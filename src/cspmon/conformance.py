@@ -190,7 +190,7 @@ def _shrink_candidates(term: Term) -> Iterator[Term]:
 
 
 def operational_traces(
-    term: Term, depth: int, alphabet: frozenset[str], rules=None
+    term: Term, depth: int, alphabet: frozenset[str]
 ) -> frozenset[Trace]:
     """Traces of length <= depth after which some viable term is reachable.
 
@@ -198,12 +198,8 @@ def operational_traces(
     state sets) are dropped, which keeps the frontier proportional to the
     actual trace set.
     """
-    from .sos import DEFAULT_RULES
-
-    if rules is None:
-        rules = DEFAULT_RULES
     out = set()
-    frontier = {EPSILON: tau_closure(term, alphabet, rules)}
+    frontier = {EPSILON: tau_closure(term, alphabet)}
     for _ in range(depth + 1):
         next_frontier: dict = {}
         for trace, states in frontier.items():
@@ -213,9 +209,7 @@ def operational_traces(
                 continue
             for e in sorted(alphabet):
                 succ = frozenset(
-                    q
-                    for s in states
-                    for q in visible_successors(s, e, alphabet, rules)
+                    q for s in states for q in visible_successors(s, e, alphabet)
                 )
                 if succ:
                     key = trace + (e,)

@@ -38,9 +38,6 @@ class Tau:
 
 TAU = Tau()
 
-# A visible action is the event name; tau is the TAU singleton.
-Action = "str | Tau"
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -49,34 +46,15 @@ class Transition:
     target: Term
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    """Engine knobs for mutation testing; production code uses the default.
-
-    Disabling a flag drops the corresponding viability side-condition from
-    the independent-progress rules of parallel composition.
-    """
-
-    viability_left: bool = True  # left operand steps only if right is viable
-    viability_right: bool = True  # right operand steps only if left is viable
-
-
-DEFAULT_RULES = RuleConfig()
-
-
 @lru_cache(maxsize=None)
-def internal_successors(
-    term: Term,
-    alphabet: frozenset[str],
-    rules: RuleConfig = DEFAULT_RULES,
-) -> frozenset[Transition]:
+def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Transition]:
     """All one-step transitions of a closed term, deduplicated."""
     if not is_closed(term):
         raise OpenTermError(f"term has free variables: {term!r}")
-    return frozenset(_successors(term, alphabet, rules))
+    return frozenset(_successors(term, alphabet))
 
 
-def _successors(term: Term, alphabet, rules):
+def _successors(term: Term, alphabet):
     out = []
     if isinstance(term, (Stop, Fail)):
         return out
@@ -85,12 +63,12 @@ def _successors(term: Term, alphabet, rules):
             out.append(Transition(term, e, substitute(Event(e), term.var, term.body)))
         return out
     if isinstance(term, Choice):
-        for t in _successors(term.left, alphabet, rules):
+        for t in _successors(term.left, alphabet):
             if t.action is TAU:
                 out.append(Transition(term, TAU, Choice(t.target, term.right)))
             else:
                 out.append(Transition(term, t.action, t.target))
-        for t in _successors(term.right, alphabet, rules):
+        for t in _successors(term.right, alphabet):
             if t.action is TAU:
                 out.append(Transition(term, TAU, Choice(term.left, t.target)))
             else:
@@ -102,17 +80,17 @@ def _successors(term: Term, alphabet, rules):
     sync = eval_event_set(term.sync, {}, alphabet)
     left_doomed = is_doomed(term.left)
     right_doomed = is_doomed(term.right)
-    left_steps = _successors(term.left, alphabet, rules)
-    right_steps = _successors(term.right, alphabet, rules)
+    left_steps = _successors(term.left, alphabet)
+    right_steps = _successors(term.right, alphabet)
     # Independent progress outside the sync set, gated on the sibling's
     # viability.
-    if not right_doomed or not rules.viability_left:
+    if not right_doomed:
         for t in left_steps:
             if t.action is TAU or t.action not in sync:
                 out.append(
                     Transition(term, t.action, Parallel(t.target, term.sync, term.right))
                 )
-    if not left_doomed or not rules.viability_right:
+    if not left_doomed:
         for t in right_steps:
             if t.action is TAU or t.action not in sync:
                 out.append(
@@ -151,11 +129,7 @@ def _successors(term: Term, alphabet, rules):
 
 
 @lru_cache(maxsize=None)
-def tau_closure(
-    term: Term,
-    alphabet: frozenset[str],
-    rules: RuleConfig = DEFAULT_RULES,
-) -> frozenset[Term]:
+def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
     """Every term reachable by zero or more tau steps, intermediates included.
 
     Terminates because each tau step strictly shrinks the term.
@@ -164,7 +138,7 @@ def tau_closure(
     frontier = [term]
     while frontier:
         current = frontier.pop()
-        for t in internal_successors(current, alphabet, rules):
+        for t in internal_successors(current, alphabet):
             if t.action is TAU and t.target not in seen:
                 seen.add(t.target)
                 frontier.append(t.target)
@@ -173,10 +147,7 @@ def tau_closure(
 
 @lru_cache(maxsize=None)
 def visible_successors(
-    term: Term,
-    event: str,
-    alphabet: frozenset[str],
-    rules: RuleConfig = DEFAULT_RULES,
+    term: Term, event: str, alphabet: frozenset[str]
 ) -> frozenset[Term]:
     """All terms reachable by emitting exactly ``event`` (tau steps free).
 
@@ -184,24 +155,19 @@ def visible_successors(
     forms.
     """
     out = set()
-    for pre in tau_closure(term, alphabet, rules):
-        for t in internal_successors(pre, alphabet, rules):
+    for pre in tau_closure(term, alphabet):
+        for t in internal_successors(pre, alphabet):
             if t.action == event:
-                out |= tau_closure(t.target, alphabet, rules)
+                out |= tau_closure(t.target, alphabet)
     return frozenset(out)
 
 
-def run(
-    term: Term,
-    trace: Trace,
-    alphabet: frozenset[str],
-    rules: RuleConfig = DEFAULT_RULES,
-) -> frozenset[Term]:
+def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting ``trace``."""
-    states = tau_closure(term, alphabet, rules)
+    states = tau_closure(term, alphabet)
     for event in trace:
         states = frozenset(
-            q for s in states for q in visible_successors(s, event, alphabet, rules)
+            q for s in states for q in visible_successors(s, event, alphabet)
         )
     return states
 

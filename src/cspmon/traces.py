@@ -84,27 +84,24 @@ def parcomp(
     sync: frozenset[str],
     t2: TraceSet,
     alphabet: frozenset[str],
-    *,
-    empty_precedence: bool = True,
 ) -> TraceSet:
     """The parallel operator on trace sets, synchronized on ``sync``.
 
     If either operand is empty the result is empty; otherwise events in
     ``sync`` advance both sides in lockstep and all other alphabet events
-    interleave.  ``empty_precedence=False`` disables the emptiness rule (a
-    deliberately broken variant used by mutation tests only).
+    interleave.
 
     The result is exact to ``min`` of the operand depths.  A per-call memo
     table keeps the derivative recursion polynomial.
     """
     depth = min(t1.exact_depth, t2.exact_depth)
     memo: dict = {}
-    traces = _parcomp(t1.traces, sync, t2.traces, alphabet, depth, memo, empty_precedence)
+    traces = _parcomp(t1.traces, sync, t2.traces, alphabet, depth, memo)
     return TraceSet(traces, depth)
 
 
-def _parcomp(s1, sync, s2, alphabet, budget, memo, empty_precedence):
-    if empty_precedence and (not s1 or not s2):
+def _parcomp(s1, sync, s2, alphabet, budget, memo):
+    if not s1 or not s2:
         return frozenset()
     if budget <= 0:
         return frozenset({EPSILON})
@@ -117,11 +114,11 @@ def _parcomp(s1, sync, s2, alphabet, budget, memo, empty_precedence):
         d1 = frozenset(t[1:] for t in s1 if t and t[0] == e)
         d2 = frozenset(t[1:] for t in s2 if t and t[0] == e)
         if e in sync:
-            branches = [_parcomp(d1, sync, d2, alphabet, budget - 1, memo, empty_precedence)]
+            branches = [_parcomp(d1, sync, d2, alphabet, budget - 1, memo)]
         else:
             branches = [
-                _parcomp(d1, sync, s2, alphabet, budget - 1, memo, empty_precedence),
-                _parcomp(s1, sync, d2, alphabet, budget - 1, memo, empty_precedence),
+                _parcomp(d1, sync, s2, alphabet, budget - 1, memo),
+                _parcomp(s1, sync, d2, alphabet, budget - 1, memo),
             ]
         for sub in branches:
             for t in sub:

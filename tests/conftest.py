@@ -2,10 +2,18 @@
 
 The oracles here deliberately avoid the production code paths they check:
 doomed classification is re-derived by naive grammar matching, and the
-parallel trace operator by brute-force merging of trace pairs.
+parallel trace operator by brute-force merging of trace pairs.  The
+``source_mutant`` fixture builds mutants for mutation testing by editing
+the source of a shipped function, so the package itself carries no
+mutation switches.
 """
 
 from __future__ import annotations
+
+import inspect
+import sys
+import textwrap
+from contextlib import contextmanager
 
 import pytest
 
@@ -21,6 +29,50 @@ def ab() -> frozenset[str]:
 @pytest.fixture
 def abc() -> frozenset[str]:
     return frozenset({"a", "b", "c"})
+
+
+def _clear_package_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name == "cspmon" or name.startswith("cspmon."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@contextmanager
+def _source_mutant(module, func_name: str, *edits: tuple[str, str]):
+    original = getattr(module, func_name)
+    source = textwrap.dedent(inspect.getsource(original))
+    for anchor, replacement in edits:
+        count = source.count(anchor)
+        if count != 1:
+            raise ValueError(f"anchor {anchor!r} occurs {count} times in {func_name}")
+        source = source.replace(anchor, replacement)
+    # A copy of the module's globals, so the mutant's recursive calls resolve
+    # to the mutant while the module itself is untouched until the swap.
+    namespace = dict(vars(module))
+    exec(compile(source, f"<mutant of {module.__name__}.{func_name}>", "exec"), namespace)
+    # The caches hold results of the stock code on entry and of the mutant
+    # on exit; either would hide the code actually installed.
+    _clear_package_caches()
+    setattr(module, func_name, namespace[func_name])
+    try:
+        yield
+    finally:
+        setattr(module, func_name, original)
+        _clear_package_caches()
+
+
+@pytest.fixture
+def source_mutant():
+    """``source_mutant(module, func_name, *(anchor, replacement))``.
+
+    A context manager that swaps ``module.func_name`` for a copy whose source
+    has each ``anchor`` (which must occur exactly once) replaced, and restores
+    the original on exit.  Meant for private, undecorated functions; every
+    ``lru_cache`` of the package is cleared on entry and on exit.
+    """
+    return _source_mutant
 
 
 def doomed_by_grammar(term: Term) -> bool:

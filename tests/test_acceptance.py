@@ -4,13 +4,15 @@ Each test prints a single ``ACCEPT PASS|FAIL`` line so the suite doubles as
 a human-readable report (run with ``pytest -s tests/test_acceptance.py``).
 All checks are exact: set comparisons of trace sets, plus walks over the
 transition relation (doomed normalization, and mutation sensitivity, which
-runs that walk on the mutant engine). There are no tolerances to tune.
+runs that walk on the mutant engine). The mutants are source edits of the
+shipped functions. There are no tolerances to tune.
 """
 
 import random
 
 import pytest
 
+from cspmon import sos, traces
 from cspmon.cli import main
 from cspmon.conformance import (
     GenConfig,
@@ -20,13 +22,7 @@ from cspmon.conformance import (
     operational_traces,
 )
 from cspmon.monitor import Verdict, feed_all, init_monitor, verdict_of
-from cspmon.sos import (
-    DEFAULT_RULES,
-    RuleConfig,
-    TAU,
-    internal_successors,
-    visible_successors,
-)
+from cspmon.sos import TAU, internal_successors, visible_successors
 from cspmon.syntax import parse_term, print_term
 from cspmon.terms import Fail, is_doomed, prefix_depth, term_size
 from cspmon.traces import derive, semantics
@@ -34,6 +30,13 @@ from cspmon.traces import derive, semantics
 ALPHABET = frozenset({"a", "b", "c"})
 CORPUS_SIZE = 10_000
 CORPUS_SEED = 20_240
+
+# (name, module, function, (anchor, replacement)): each mutant drops one rule.
+MUTANTS = (
+    ("viability-left", sos, "_successors", ("if not right_doomed:", "if True:")),
+    ("viability-right", sos, "_successors", ("if not left_doomed:", "if True:")),
+    ("empty-precedence", traces, "_parcomp", ("if not s1 or not s2:", "if False:")),
+)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +130,7 @@ class TestAcceptance:
                 violations += 1
         _verdict_line("monitor-oracle-agreement", violations, "1000 pairs")
 
-    def test_7_mutation_sensitivity(self, corpus):
+    def test_7_mutation_sensitivity(self, corpus, source_mutant):
         # Each mutant must break at least one acceptance property somewhere
         # on the sample, and the report names the property that caught it.
         # The empty-precedence mutant changes the denotational side, so the
@@ -145,12 +148,9 @@ class TestAcceptance:
         sample = corpus[:2_000]
         caught = []
         undetected = []
-        for name, mutant in (
-            ("viability-left", {"rules": RuleConfig(viability_left=False)}),
-            ("viability-right", {"rules": RuleConfig(viability_right=False)}),
-            ("empty-precedence", {"empty_precedence": False}),
-        ):
-            prop = _mutant_detected(sample, **mutant)
+        for name, module, func_name, edit in MUTANTS:
+            with source_mutant(module, func_name, edit):
+                prop = _mutant_detected(sample, engine=module is sos)
             if prop:
                 caught.append(f"{name} by {prop}")
             else:
@@ -181,7 +181,7 @@ class TestAcceptance:
             _verdict_line("frontend-roundtrip", violations, f"{len(corpus)} terms")
 
 
-def _doomed_paths_ok(term, rules=DEFAULT_RULES) -> bool:
+def _doomed_paths_ok(term) -> bool:
     seen = set()
     stack = [term]
     while stack:
@@ -189,7 +189,7 @@ def _doomed_paths_ok(term, rules=DEFAULT_RULES) -> bool:
         if current in seen:
             continue
         seen.add(current)
-        succs = internal_successors(current, ALPHABET, rules)
+        succs = internal_successors(current, ALPHABET)
         if not succs and not isinstance(current, Fail):
             return False
         for t in succs:
@@ -203,53 +203,17 @@ def _doomed_paths_ok(term, rules=DEFAULT_RULES) -> bool:
     return True
 
 
-def _mutant_detected(terms, rules=None, empty_precedence=True) -> str | None:
-    """The first acceptance property the mutant breaks on ``terms``, or None.
+def _mutant_detected(terms, engine: bool) -> str | None:
+    """The first acceptance property the installed mutant breaks, or None.
 
-    Every mutant is checked against the trace correspondence with the
-    intact other side as oracle.  An engine mutant (``rules``) is also run
+    Every mutant is checked against the trace correspondence, where the
+    unmutated semantics serves as oracle.  An engine mutant is also run
     through doomed normalization on each doomed term.
     """
     for term in terms:
         k = prefix_depth(term)
-        if empty_precedence:
-            mutant_lhs = semantics(term, k, ALPHABET).traces
-            mutant_rhs = operational_traces(term, k, ALPHABET, rules=rules)
-        else:
-            mutant_lhs = _semantics_no_precedence(term, k)
-            mutant_rhs = operational_traces(term, k, ALPHABET)
-        if mutant_lhs != mutant_rhs:
+        if semantics(term, k, ALPHABET).traces != operational_traces(term, k, ALPHABET):
             return "theorem-correspondence"
-        if rules is not None and is_doomed(term) and not _doomed_paths_ok(term, rules):
+        if engine and is_doomed(term) and not _doomed_paths_ok(term):
             return "doomed-normalization"
     return None
-
-
-def _semantics_no_precedence(term, depth):
-    """Denotational evaluation with the emptiness rule of parcomp disabled."""
-    from cspmon.terms import Choice, Fail, Parallel, Prefix, Stop, Event
-    from cspmon.terms import eval_event_set, substitute
-    from cspmon.traces import parcomp, TraceSet
-
-    if isinstance(term, Stop):
-        return frozenset({()})
-    if isinstance(term, Fail):
-        return frozenset()
-    if isinstance(term, Prefix):
-        if depth <= 0:
-            return frozenset({()})
-        out = {()}
-        for e in sorted(eval_event_set(term.events, {}, ALPHABET)):
-            sub = _semantics_no_precedence(
-                substitute(Event(e), term.var, term.body), depth - 1
-            )
-            out |= {(e,) + t for t in sub if len(t) + 1 <= depth}
-        return frozenset(out)
-    if isinstance(term, Choice):
-        return _semantics_no_precedence(term.left, depth) | _semantics_no_precedence(
-            term.right, depth
-        )
-    sync = eval_event_set(term.sync, {}, ALPHABET)
-    lhs = TraceSet(_semantics_no_precedence(term.left, depth), depth)
-    rhs = TraceSet(_semantics_no_precedence(term.right, depth), depth)
-    return parcomp(lhs, sync, rhs, ALPHABET, empty_precedence=False).traces

@@ -142,3 +142,29 @@ class TestUsageErrors:
         spec = spec_file("alphabet {a} process STOP STOP")
         assert main(["traces", spec, "--depth", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, spec_bytes, record",
+        [
+            ("traces", b"alphabet {a} process \xff", None),
+            ("traces", None, None),
+            ("monitor", b"alphabet {a} process STOP", "[1]"),
+            ("monitor", b"alphabet {a} process STOP", '"a"'),
+        ],
+        ids=["non-utf8-spec", "directory-spec", "list-record", "string-record"],
+    )
+    def test_bad_input_exits_two(self, command, spec_bytes, record, tmp_path, capsys):
+        # A crash must not exit 1, which reads as a FAILED verdict.
+        spec = tmp_path
+        if spec_bytes is not None:
+            spec = tmp_path / "spec.cspmon"
+            spec.write_bytes(spec_bytes)
+        argv = [command, str(spec)]
+        if command == "traces":
+            argv += ["--depth", "2"]
+        else:
+            events = tmp_path / "events.jsonl"
+            events.write_text(record + "\n")
+            argv += ["--events", str(events), "--format", "json"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -2,10 +2,10 @@
 
 import pytest
 
+from cspmon import sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OpenTermError
 from cspmon.sos import (
-    RuleConfig,
     TAU,
     Transition,
     internal_successors,
@@ -28,6 +28,8 @@ from cspmon.terms import (
 
 X, Y = EventVar("x"), EventVar("y")
 EMPTY = Literal(())
+# Both viability side conditions of the parallel rules dropped.
+NO_VIABILITY = (("if not right_doomed:", "if True:"), ("if not left_doomed:", "if True:"))
 
 
 def actions_and_targets(transitions):
@@ -151,19 +153,38 @@ class TestInvariants:
                     assert is_doomed(t.target)
                     stack.append(t.target)
 
-    def test_viability_blocking_vs_mutant(self, abc):
+    def test_viability_blocking_vs_mutant(self, abc, source_mutant):
         # With the side-condition removed, a viable component next to a
         # doomed sibling regains visible steps; the stock engine must not
         # show any of those.
-        mutant = RuleConfig(viability_left=False, viability_right=False)
+        terms = list(gen_terms(GenConfig(max_size=12, alphabet=abc, seed=43), 500))
+        stock = [internal_successors(term, abc) for term in terms]
+        with source_mutant(sos, "_successors", *NO_VIABILITY):
+            loose = [internal_successors(term, abc) for term in terms]
         found_difference = False
-        for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=43), 500):
-            stock = internal_successors(term, abc)
-            loose = internal_successors(term, abc, mutant)
-            assert stock <= loose
-            extra = loose - stock
-            if any(t.action is not TAU for t in extra):
+        for term, tight, wide in zip(terms, stock, loose):
+            assert tight <= wide
+            if any(t.action is not TAU for t in wide - tight):
                 found_difference = True
             if is_doomed(term):
-                assert all(t.action is TAU for t in stock)
+                assert all(t.action is TAU for t in tight)
         assert found_difference
+
+
+class TestSourceMutant:
+    @pytest.mark.parametrize(
+        "anchor, count", [("if never_there:", 0), ("for t in left_steps:", 2)]
+    )
+    def test_anchor_must_occur_exactly_once(self, source_mutant, anchor, count):
+        with pytest.raises(ValueError, match=f"occurs {count} times"):
+            with source_mutant(sos, "_successors", (anchor, "if True:")):
+                pass
+        assert sos._successors.__code__.co_filename == sos.__file__
+
+    def test_no_cache_leak_past_the_block(self, ab, source_mutant):
+        term = Parallel(FAIL, EMPTY, Prefix(X, literal("a"), STOP))
+        assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
+        with source_mutant(sos, "_successors", *NO_VIABILITY):
+            inside = actions_and_targets(internal_successors(term, ab))
+        assert ("a", Parallel(FAIL, EMPTY, STOP)) in inside
+        assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
