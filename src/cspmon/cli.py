@@ -18,7 +18,7 @@ import sys
 
 from . import conformance
 from .dot import to_dot
-from .errors import CspmonError, OutOfAlphabetError
+from .errors import CspmonError, InputDecodeError, OutOfAlphabetError
 from .monitor import Verdict, feed, init_monitor
 from .sos import TAU, internal_successors, run
 from .syntax import SpecFile, parse_spec, print_term
@@ -27,7 +27,11 @@ from .traces import canonical_traces, format_trace, parse_trace, semantics
 
 def _load_spec(path: str) -> SpecFile:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_spec(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise InputDecodeError(path, exc) from None
+    return parse_spec(text)
 
 
 def _iter_events(stream, fmt: str):
@@ -54,6 +58,10 @@ def cmd_monitor(args) -> int:
         for i, event in enumerate(events, start=1):
             state = feed(state, event)
             print(f"{i} {event} {state.verdict.value}")
+    except UnicodeDecodeError as exc:
+        # A subclass of ValueError: a file that is not text, not a bad record.
+        name = "standard input" if stream is sys.stdin else args.events
+        raise InputDecodeError(name, exc) from None
     except ValueError as exc:
         print(f"error: malformed event record: {exc}", file=sys.stderr)
         return 2
@@ -151,7 +159,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CspmonError as exc:

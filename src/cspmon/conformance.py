@@ -26,6 +26,9 @@ from .terms import (
     Parallel,
     Prefix,
     STOP,
+    SetDifference,
+    SetIntersection,
+    SetUnion,
     Term,
     is_doomed,
     prefix_depth,
@@ -41,6 +44,7 @@ from .traces import (
 )
 
 _VAR_POOL = ("x", "y", "z", "w")
+_SET_OPS = {"union": SetUnion, "intersection": SetIntersection, "difference": SetDifference}
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,7 @@ def _gen_set(rng, cfg, scope, depth) -> EventSetExpr:
         return FullAlphabet()
     left = _gen_set(rng, cfg, scope, depth - 1)
     right = _gen_set(rng, cfg, scope, depth - 1)
-    from .terms import SetDifference, SetIntersection, SetUnion
-
-    ctor = {"union": SetUnion, "intersection": SetIntersection, "difference": SetDifference}
-    return ctor[kind](left, right)
+    return _SET_OPS[kind](left, right)
 
 
 def gen_prefix_closed(rng: random.Random, alphabet: frozenset[str], depth: int) -> TraceSet:

@@ -57,3 +57,12 @@ class ResidualOverflowError(CspmonError):
         super().__init__(f"residual set grew to {size} terms (cap {cap})")
         self.size = size
         self.cap = cap
+
+
+class InputDecodeError(CspmonError):
+    """An input file that is not valid UTF-8."""
+
+    def __init__(self, path: str, exc: UnicodeDecodeError):
+        byte = exc.object[exc.start]
+        super().__init__(f"{path}: not valid UTF-8 (byte 0x{byte:02x}: {exc.reason})")
+        self.path = path

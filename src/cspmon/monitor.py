@@ -10,7 +10,7 @@ trace set.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .errors import OutOfAlphabetError, ResidualOverflowError
 from .sos import tau_closure, visible_successors
@@ -29,10 +29,24 @@ class Verdict(enum.Enum):
 class MonitorState:
     residuals: frozenset[Term]
     verdict: Verdict
-    consumed: Trace
     alphabet: frozenset[str]
     strict: bool = False
     residual_cap: int = DEFAULT_RESIDUAL_CAP
+    # The consumed events as a persistent list, newest first: None or
+    # ``(previous trail, event)``.  Feeding shares the previous trail instead
+    # of copying it, so a stream costs linear time.  Left out of equality
+    # and repr, which would otherwise recurse once per event.
+    trail: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def consumed(self) -> Trace:
+        """Every event fed so far, oldest first."""
+        events = []
+        node = self.trail
+        while node is not None:
+            node, event = node
+            events.append(event)
+        return tuple(reversed(events))
 
 
 def init_monitor(
@@ -51,13 +65,17 @@ def init_monitor(
     verdict = (
         Verdict.RUNNING if any(not is_doomed(r) for r in residuals) else Verdict.FAILED
     )
+    return MonitorState(residuals, verdict, alphabet, strict, residual_cap)
+
+
+def _advance(state, residuals, verdict, event) -> MonitorState:
     return MonitorState(
-        residuals=residuals,
-        verdict=verdict,
-        consumed=(),
-        alphabet=alphabet,
-        strict=strict,
-        residual_cap=residual_cap,
+        residuals,
+        verdict,
+        state.alphabet,
+        state.strict,
+        state.residual_cap,
+        (state.trail, event),
     )
 
 
@@ -70,15 +88,10 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     """
     if event not in state.alphabet:
         if state.strict:
-            return replace(
-                state,
-                residuals=frozenset(),
-                verdict=Verdict.FAILED,
-                consumed=state.consumed + (event,),
-            )
+            return _advance(state, frozenset(), Verdict.FAILED, event)
         raise OutOfAlphabetError(event)
     if state.verdict is Verdict.FAILED:
-        return replace(state, consumed=state.consumed + (event,))
+        return _advance(state, state.residuals, Verdict.FAILED, event)
     residuals = set()
     for r in state.residuals:
         if is_doomed(r):
@@ -90,17 +103,8 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     if viable:
         # Doomed residuals can never become viable again; drop them while a
         # viable sibling keeps the verdict alive.
-        residuals = viable
-        verdict = Verdict.RUNNING
-    else:
-        residuals = frozenset(residuals)
-        verdict = Verdict.FAILED
-    return replace(
-        state,
-        residuals=residuals,
-        verdict=verdict,
-        consumed=state.consumed + (event,),
-    )
+        return _advance(state, viable, Verdict.RUNNING, event)
+    return _advance(state, frozenset(residuals), Verdict.FAILED, event)
 
 
 def verdict_of(state: MonitorState) -> Verdict:

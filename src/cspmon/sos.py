@@ -9,8 +9,9 @@ that push FAIL outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import OpenTermError
 from .terms import (
@@ -30,17 +31,22 @@ from .terms import (
 from .traces import Trace
 
 
-@dataclass(frozen=True)
 class Tau:
+    """The silent action; its one instance is TAU."""
+
     def __repr__(self):
         return "tau"
+
+    def __hash__(self):
+        # Fixed, unlike the default identity hash, so that transition sets
+        # iterate in the same order from one run to the next.
+        return 0
 
 
 TAU = Tau()
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: Term
     action: "str | Tau"
     target: Term
@@ -55,6 +61,8 @@ def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Trans
 
 
 def _successors(term: Term, alphabet):
+    # A component's steps come from the cache: residuals that share a
+    # component compute its steps once.
     out = []
     if isinstance(term, (Stop, Fail)):
         return out
@@ -63,25 +71,25 @@ def _successors(term: Term, alphabet):
             out.append(Transition(term, e, substitute(Event(e), term.var, term.body)))
         return out
     if isinstance(term, Choice):
-        for t in _successors(term.left, alphabet):
+        for t in internal_successors(term.left, alphabet):
             if t.action is TAU:
                 out.append(Transition(term, TAU, Choice(t.target, term.right)))
             else:
                 out.append(Transition(term, t.action, t.target))
-        for t in _successors(term.right, alphabet):
+        for t in internal_successors(term.right, alphabet):
             if t.action is TAU:
                 out.append(Transition(term, TAU, Choice(term.left, t.target)))
             else:
                 out.append(Transition(term, t.action, t.target))
-        if term.left == FAIL and term.right == FAIL:
+        if term.left is FAIL and term.right is FAIL:
             out.append(Transition(term, TAU, FAIL))
         return out
     assert isinstance(term, Parallel)
     sync = eval_event_set(term.sync, {}, alphabet)
     left_doomed = is_doomed(term.left)
     right_doomed = is_doomed(term.right)
-    left_steps = _successors(term.left, alphabet)
-    right_steps = _successors(term.right, alphabet)
+    left_steps = internal_successors(term.left, alphabet)
+    right_steps = internal_successors(term.right, alphabet)
     # Independent progress outside the sync set, gated on the sibling's
     # viability.
     if not right_doomed:
@@ -121,9 +129,9 @@ def _successors(term: Term, alphabet):
                     Transition(term, TAU, Parallel(term.left, term.sync, t.target))
                 )
     # FAIL absorbs the whole composition.
-    if term.left == FAIL:
+    if term.left is FAIL:
         out.append(Transition(term, TAU, FAIL))
-    if term.right == FAIL:
+    if term.right is FAIL:
         out.append(Transition(term, TAU, FAIL))
     return out
 
@@ -177,10 +185,10 @@ def reachable_transitions(
 ) -> list[Transition]:
     """Every transition reachable from ``term``, in BFS discovery order."""
     seen = {term}
-    queue = [term]
+    queue = deque([term])
     out = []
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for t in sorted(
             internal_successors(current, alphabet), key=lambda t: repr(t)
         ):

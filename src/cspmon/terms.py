@@ -5,8 +5,13 @@ five constructors: STOP (stuck, emits nothing), FAIL (global failure),
 prefix (emit one event from a set, binding it to a variable), external
 choice, and parallel composition synchronized on an event set.
 
-All values here are immutable; structural equality doubles as semantic
-identity for deduplication in the transition engine.
+All values here are immutable and hash-consed (Filliâtre & Conchon,
+"Type-safe modular hash-consing", 2006): constructing a node whose
+structure already exists returns the existing object.  Equality is
+therefore identity, and each node's hash is computed once, from its
+children's stored hashes, so the caches of the transition engine look terms
+up in O(1) however deep they are.  Constructors take their fields
+positionally.
 """
 
 from __future__ import annotations
@@ -18,18 +23,63 @@ from typing import Mapping, Union
 from .errors import UnboundVariableError
 
 
+# --- interning -------------------------------------------------------------
+
+
+class _Interned(type):
+    """Metaclass of the hash-consed node classes: one object per structure."""
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._fields = tuple(namespace.get("__annotations__", ()))
+        cls._table = {}
+
+    def __call__(cls, *args):
+        node = cls._table.get(args)
+        if node is None:
+            if len(args) != len(cls._fields):
+                raise TypeError(
+                    f"{cls.__name__} takes {len(cls._fields)} arguments "
+                    f"({len(args)} given)"
+                )
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, args):
+                object.__setattr__(node, name, value)
+            # A frozen dataclass's hash, so set iteration order does not
+            # depend on interning; children contribute their stored hashes.
+            object.__setattr__(node, "_hash", hash(args))
+            cls._table[args] = node
+        return node
+
+
+class _Node(metaclass=_Interned):
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling rebuild through the constructor, so
+        # they return the interned node.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+# eq=False leaves ``==`` as identity and the hash as _Node's stored one.
+_hashconsed = dataclass(frozen=True, eq=False, slots=True)
+
+
 # --- events and event-set expressions ------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
+@_hashconsed
+class Event(_Node):
     """A concrete event symbol from the declared alphabet."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class EventVar:
+@_hashconsed
+class EventVar(_Node):
     """A variable bound by a prefix binder; ranges over events."""
 
     name: str
@@ -38,32 +88,32 @@ class EventVar:
 EventParam = Union[Event, EventVar]
 
 
-@dataclass(frozen=True)
-class Literal:
+@_hashconsed
+class Literal(_Node):
     """An explicit, possibly empty, list of events and variables."""
 
     params: tuple[EventParam, ...]
 
 
-@dataclass(frozen=True)
-class FullAlphabet:
+@_hashconsed
+class FullAlphabet(_Node):
     """The whole declared alphabet (written ``Sigma`` in spec files)."""
 
 
-@dataclass(frozen=True)
-class SetUnion:
+@_hashconsed
+class SetUnion(_Node):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
 
-@dataclass(frozen=True)
-class SetIntersection:
+@_hashconsed
+class SetIntersection(_Node):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
 
-@dataclass(frozen=True)
-class SetDifference:
+@_hashconsed
+class SetDifference(_Node):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
@@ -81,18 +131,18 @@ def literal(*names: str) -> Literal:
 # --- terms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stop:
+@_hashconsed
+class Stop(_Node):
     """The stuck process: emits nothing, but is not a failure."""
 
 
-@dataclass(frozen=True)
-class Fail:
+@_hashconsed
+class Fail(_Node):
     """Global failure: aborts every parallel component."""
 
 
-@dataclass(frozen=True)
-class Prefix:
+@_hashconsed
+class Prefix(_Node):
     """``?x:E -> P``: emit one event e in E, then run P with x bound to e."""
 
     var: EventVar
@@ -100,16 +150,16 @@ class Prefix:
     body: "Term"
 
 
-@dataclass(frozen=True)
-class Choice:
+@_hashconsed
+class Choice(_Node):
     """External choice, resolved by whichever side emits first."""
 
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Parallel:
+@_hashconsed
+class Parallel(_Node):
     """Parallel composition with mandatory synchronization on ``sync``."""
 
     left: "Term"

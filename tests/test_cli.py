@@ -143,6 +143,23 @@ class TestUsageErrors:
         assert main(["traces", spec, "--depth", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_spec_names_the_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cspmon"
+        spec.write_bytes(b"alphabet {a} process \xff")
+        assert main(["traces", str(spec), "--depth", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: not valid UTF-8")
+        assert "0xff" in err
+
+    def test_non_utf8_events_file_names_the_file(self, spec_file, tmp_path, capsys):
+        spec = spec_file("alphabet {a} process ?x:{a} -> STOP")
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"a\n\xfe\n")
+        assert main(["monitor", spec, "--events", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {events}: not valid UTF-8")
+        assert "malformed event record" not in err
+
     @pytest.mark.parametrize(
         "command, spec_bytes, record",
         [

@@ -1,6 +1,7 @@
 """Generator reproducibility and the individual conformance checks."""
 
 import collections
+import hashlib
 import random
 
 from cspmon.conformance import (
@@ -30,6 +31,16 @@ class TestGenTerm:
     def test_golden_seed_is_stable(self, abc):
         term = gen_term(GenConfig(max_size=7, alphabet=abc, seed=42))
         assert print_term(term) == "STOP |[Sigma \\ {a,a,a} \\ {c}]| (FAIL |[{}]| FAIL)"
+
+    def test_golden_corpus_digest_is_stable(self, abc):
+        # Pins the generator's random draws: any change to the order or
+        # number of draws changes the corpus.
+        digest = hashlib.sha256()
+        for term in gen_terms(GenConfig(12, abc, seed=0), 200):
+            digest.update(print_term(term).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "854b5f5084597dbf987bf9d57811d2353817c1e998f676ca80783d01a2f10cb1"
+        )
 
     def test_respects_size_budget(self, abc):
         for size in (1, 4, 12):

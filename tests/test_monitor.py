@@ -65,6 +65,22 @@ class TestFeed:
             assert verdict_of(state) is Verdict.FAILED
         assert state.consumed == ("a", "a", "b", "a")
 
+    def test_consumed_of_two_branches_from_one_state(self, ab):
+        term = parse_term("?x:{a,b} -> ?y:{a,b} -> STOP", ab)
+        state = feed(init_monitor(term, ab), "a")
+        via_a, via_b = feed(state, "a"), feed(state, "b")
+        assert state.consumed == ("a",)
+        assert via_a.consumed == ("a", "a")
+        assert via_b.consumed == ("a", "b")
+        assert init_monitor(term, ab).consumed == ()
+
+    def test_long_stream_after_failure(self, ab):
+        state = feed_all(init_monitor(STOP, ab), ["a", "b"] * 50_000)
+        assert verdict_of(state) is Verdict.FAILED
+        assert len(state.consumed) == 100_000
+        assert state.consumed[-3:] == ("b", "a", "b")
+        assert "trail" not in repr(state)
+
     def test_out_of_alphabet_raises(self, ab):
         with pytest.raises(OutOfAlphabetError):
             feed(init_monitor(STOP, ab), "zz")

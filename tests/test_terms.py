@@ -1,4 +1,8 @@
-"""Term-level operations: substitution, set evaluation, classification."""
+"""Term-level operations: interning, substitution, set evaluation, classification."""
+
+import copy
+import dataclasses
+import pickle
 
 import pytest
 
@@ -9,6 +13,7 @@ from cspmon.terms import (
     Event,
     EventVar,
     FAIL,
+    Fail,
     FullAlphabet,
     Literal,
     Parallel,
@@ -16,6 +21,8 @@ from cspmon.terms import (
     STOP,
     SetDifference,
     SetIntersection,
+    SetUnion,
+    Stop,
     eval_event_set,
     free_vars,
     is_doomed,
@@ -27,6 +34,57 @@ from conftest import doomed_by_grammar
 
 A, B = Event("a"), Event("b")
 X, Y, Z = EventVar("x"), EventVar("y"), EventVar("z")
+
+# One node of every constructor.
+EVERY_CONSTRUCTOR = [
+    A,
+    X,
+    Literal((A, X)),
+    FullAlphabet(),
+    SetUnion(literal("a"), FullAlphabet()),
+    SetIntersection(literal("a"), FullAlphabet()),
+    SetDifference(literal("a"), FullAlphabet()),
+    STOP,
+    FAIL,
+    Prefix(X, literal("a"), STOP),
+    Choice(STOP, FAIL),
+    Parallel(STOP, literal("b"), FAIL),
+]
+
+
+class TestInterning:
+    def test_equal_structure_is_the_same_object(self):
+        assert Prefix(X, literal("a"), STOP) is Prefix(X, literal("a"), STOP)
+        assert Stop() is STOP and Fail() is FAIL
+        assert Prefix(X, literal("a"), STOP) != Prefix(Y, literal("a"), STOP)
+
+    @pytest.mark.parametrize("node", EVERY_CONSTRUCTOR, ids=lambda n: type(n).__name__)
+    def test_hash_is_the_hash_of_the_fields(self, node):
+        # A frozen dataclass's hash: set iteration order under a fixed
+        # PYTHONHASHSEED does not depend on interning.
+        fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+        assert hash(node) == hash(fields)
+
+    @pytest.mark.parametrize("node", EVERY_CONSTRUCTOR, ids=lambda n: type(n).__name__)
+    def test_copies_return_the_interned_node(self, node):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Choice(STOP, FAIL).left = FAIL
+
+    def test_wrong_arity_raises(self):
+        with pytest.raises(TypeError):
+            Prefix(X, literal("a"))
+
+    def test_deep_chain_hashes_without_recursion(self):
+        term = STOP
+        for _ in range(3000):
+            term = Prefix(X, literal("a"), term)
+        assert {term: 1}[term] == 1
+        assert hash(term) == hash((X, literal("a"), term.body))
 
 
 class TestSubstitute:
