@@ -13,6 +13,7 @@ Exit codes: 0 success (monitor: final verdict RUNNING), 1 failure
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -52,7 +53,14 @@ def _iter_events(stream, fmt: str):
 def cmd_monitor(args) -> int:
     spec = _load_spec(args.spec)
     state = init_monitor(spec.root, spec.alphabet, strict=args.strict)
-    stream = sys.stdin if args.events == "-" else open(args.events, "r", encoding="utf-8")
+    if args.events == "-":
+        stream = sys.stdin
+        # A C or POSIX locale reads stdin with surrogateescape, which would
+        # pass a byte that is not UTF-8 through as part of an event name.
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="strict")
+    else:
+        stream = open(args.events, "r", encoding="utf-8")
     try:
         events = _iter_events(stream, args.format)
         for i, event in enumerate(events, start=1):

@@ -17,7 +17,8 @@ from .sos import tau_closure, visible_successors
 from .terms import Term, is_doomed
 from .traces import Trace
 
-DEFAULT_RESIDUAL_CAP = 10**6
+# Most residuals a state may hold; feed raises ResidualOverflowError past it.
+RESIDUAL_CAP = 10**6
 
 
 class Verdict(enum.Enum):
@@ -31,7 +32,6 @@ class MonitorState:
     verdict: Verdict
     alphabet: frozenset[str]
     strict: bool = False
-    residual_cap: int = DEFAULT_RESIDUAL_CAP
     # The consumed events as a persistent list, newest first: None or
     # ``(previous trail, event)``.  Feeding shares the previous trail instead
     # of copying it, so a stream costs linear time.  Left out of equality
@@ -49,13 +49,7 @@ class MonitorState:
         return tuple(reversed(events))
 
 
-def init_monitor(
-    term: Term,
-    alphabet: frozenset[str],
-    *,
-    strict: bool = False,
-    residual_cap: int = DEFAULT_RESIDUAL_CAP,
-) -> MonitorState:
+def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) -> MonitorState:
     """Start monitoring a closed specification term.
 
     The initial verdict is FAILED exactly when the term is already doomed,
@@ -65,18 +59,11 @@ def init_monitor(
     verdict = (
         Verdict.RUNNING if any(not is_doomed(r) for r in residuals) else Verdict.FAILED
     )
-    return MonitorState(residuals, verdict, alphabet, strict, residual_cap)
+    return MonitorState(residuals, verdict, alphabet, strict)
 
 
 def _advance(state, residuals, verdict, event) -> MonitorState:
-    return MonitorState(
-        residuals,
-        verdict,
-        state.alphabet,
-        state.strict,
-        state.residual_cap,
-        (state.trail, event),
-    )
+    return MonitorState(residuals, verdict, state.alphabet, state.strict, (state.trail, event))
 
 
 def feed(state: MonitorState, event: str) -> MonitorState:
@@ -97,8 +84,8 @@ def feed(state: MonitorState, event: str) -> MonitorState:
         if is_doomed(r):
             continue  # doomed residuals emit nothing visible
         residuals |= visible_successors(r, event, state.alphabet)
-    if len(residuals) > state.residual_cap:
-        raise ResidualOverflowError(len(residuals), state.residual_cap)
+    if len(residuals) > RESIDUAL_CAP:
+        raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
     viable = frozenset(r for r in residuals if not is_doomed(r))
     if viable:
         # Doomed residuals can never become viable again; drop them while a

@@ -67,7 +67,7 @@ def _successors(term: Term, alphabet):
     if isinstance(term, (Stop, Fail)):
         return out
     if isinstance(term, Prefix):
-        for e in sorted(eval_event_set(term.events, {}, alphabet)):
+        for e in sorted(eval_event_set(term.events, alphabet)):
             out.append(Transition(term, e, substitute(Event(e), term.var, term.body)))
         return out
     if isinstance(term, Choice):
@@ -85,7 +85,7 @@ def _successors(term: Term, alphabet):
             out.append(Transition(term, TAU, FAIL))
         return out
     assert isinstance(term, Parallel)
-    sync = eval_event_set(term.sync, {}, alphabet)
+    sync = eval_event_set(term.sync, alphabet)
     left_doomed = is_doomed(term.left)
     right_doomed = is_doomed(term.right)
     left_steps = internal_successors(term.left, alphabet)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 from .errors import UnboundVariableError
 
@@ -176,30 +176,23 @@ FAIL = Fail()
 # --- operations -----------------------------------------------------------
 
 
-def eval_event_set(
-    expr: EventSetExpr,
-    env: Mapping[EventVar, Event],
-    alphabet: frozenset[str],
-) -> frozenset[str]:
-    """Evaluate a set expression to a concrete subset of the alphabet.
+def eval_event_set(expr: EventSetExpr, alphabet: frozenset[str]) -> frozenset[str]:
+    """Evaluate a closed set expression to a concrete subset of the alphabet.
 
-    ``env`` must bind every free variable of ``expr``; an unbound variable
-    raises UnboundVariableError naming it.
+    A variable in ``expr`` (one ``substitute`` has not filled in) raises
+    UnboundVariableError naming it.
     """
     if isinstance(expr, Literal):
         out = set()
         for p in expr.params:
-            if isinstance(p, Event):
-                out.add(p.name)
-            else:
-                if p not in env:
-                    raise UnboundVariableError(p.name)
-                out.add(env[p].name)
+            if not isinstance(p, Event):
+                raise UnboundVariableError(p.name)
+            out.add(p.name)
         return frozenset(out) & alphabet
     if isinstance(expr, FullAlphabet):
         return alphabet
-    left = eval_event_set(expr.left, env, alphabet)
-    right = eval_event_set(expr.right, env, alphabet)
+    left = eval_event_set(expr.left, alphabet)
+    right = eval_event_set(expr.right, alphabet)
     if isinstance(expr, SetUnion):
         return left | right
     if isinstance(expr, SetIntersection):

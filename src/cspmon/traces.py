@@ -55,20 +55,14 @@ def epsilon_trace_set(depth: int) -> TraceSet:
     return TraceSet(frozenset({EPSILON}), depth)
 
 
-def prepend_adjoin(event: str, ts: TraceSet, cap: int | None = None) -> TraceSet:
+def prepend_adjoin(event: str, ts: TraceSet) -> TraceSet:
     """``e T``: prepend ``event`` to every trace of ``ts`` and adjoin epsilon.
 
-    The result is exact to depth ``ts.exact_depth + 1``, clamped to ``cap``
-    when given; traces beyond the resulting depth are truncated away.
+    The result is exact to depth ``ts.exact_depth + 1``.
     """
-    depth = ts.exact_depth + 1
-    if cap is not None:
-        depth = min(depth, cap)
     traces = {EPSILON}
-    for t in ts.traces:
-        if len(t) + 1 <= depth:
-            traces.add((event,) + t)
-    return TraceSet(frozenset(traces), depth)
+    traces.update((event,) + t for t in ts.traces)
+    return TraceSet(frozenset(traces), ts.exact_depth + 1)
 
 
 def derive(ts: TraceSet, event: str) -> TraceSet:
@@ -144,17 +138,17 @@ def semantics(term: Term, depth: int, alphabet: frozenset[str]) -> TraceSet:
         if depth <= 0:
             return epsilon_trace_set(depth)
         result = epsilon_trace_set(depth)
-        events = eval_event_set(term.events, {}, alphabet)
+        events = eval_event_set(term.events, alphabet)
         for e in sorted(events):
             sub = semantics(substitute(Event(e), term.var, term.body), depth - 1, alphabet)
-            result = result.union(prepend_adjoin(e, sub, cap=depth))
+            result = result.union(prepend_adjoin(e, sub))
         return result
     if isinstance(term, Choice):
         return semantics(term.left, depth, alphabet).union(
             semantics(term.right, depth, alphabet)
         )
     assert isinstance(term, Parallel)
-    sync = eval_event_set(term.sync, {}, alphabet)
+    sync = eval_event_set(term.sync, alphabet)
     return parcomp(
         semantics(term.left, depth, alphabet),
         sync,

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cspmon
 from cspmon.cli import main
+from test_acceptance import MUTANTS
 
 
 @pytest.fixture
@@ -130,6 +135,39 @@ class TestCheckCommand:
         assert out
         assert all(line.startswith("PASS ") for line in out)
 
+    # The FAIL lines of ``check --count 8 --seed 1`` under each mutant of
+    # acceptance check 7, counterexamples minimized.  The root spec is doomed
+    # on both sides, so each viability mutant breaks it.
+    FAIL_LINES = {
+        "viability-left": ["FAIL doomed-normalization 1 ?x:{a} -> STOP |[{}]| FAIL"],
+        "viability-right": ["FAIL doomed-normalization 1 FAIL |[{}]| ?y:{b} -> STOP"],
+        "empty-precedence": [
+            "FAIL correspondence 1 STOP |[{}]| FAIL",
+            "FAIL doomed-iff-empty 1 STOP |[{}]| FAIL",
+            "FAIL derivative-decomposition[a] 1 STOP |[{}]| FAIL",
+            "FAIL derivative-decomposition[b] 1 STOP |[{}]| FAIL",
+            "FAIL derivative-decomposition[a] 6 STOP |[{a,a}]| FAIL",
+            "FAIL derivative-decomposition[b] 6 STOP |[{a,a}]| FAIL",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "name, module, func_name, edit", MUTANTS, ids=[m[0] for m in MUTANTS]
+    )
+    def test_reports_minimized_failures_under_mutant(
+        self, name, module, func_name, edit, spec_file, source_mutant, capsys
+    ):
+        spec = spec_file(
+            "alphabet {a,b} process "
+            "(?x:{a} -> STOP |[{}]| FAIL) [] (FAIL |[{}]| ?y:{b} -> STOP)"
+        )
+        with source_mutant(module, func_name, edit):
+            code = main(["check", spec, "--count", "8", "--seed", "1"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        failures = [line for line in out if not line.startswith("PASS ")]
+        assert failures == self.FAIL_LINES[name]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -159,6 +197,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {events}: not valid UTF-8")
         assert "malformed event record" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_non_utf8_stdin_exits_two(self, spec_file, flags):
+        # A C locale reads stdin with surrogateescape; the byte must not reach
+        # the monitor as an event (exit 2 out of alphabet, or 1 if strict).
+        spec = spec_file("alphabet {a} process ?x:{a} -> STOP")
+        src = os.path.dirname(os.path.dirname(cspmon.__file__))
+        env = {"LC_ALL": "C", "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cspmon.cli", "monitor", spec, *flags],
+            input=b"a\n\xfe\n",
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"error: standard input: not valid UTF-8 (byte 0xfe: invalid start byte)\n"
+        )
 
     @pytest.mark.parametrize(
         "command, spec_bytes, record",

@@ -71,20 +71,20 @@ class TestGenTerm:
 
 class TestChecks:
     def test_correspondence_on_fail(self, ab):
-        assert check_correspondence(FAIL, 2, ab).passed
+        assert check_correspondence(FAIL, ab).passed
         assert operational_traces(FAIL, 2, ab) == frozenset()
 
     def test_correspondence_on_simple_prefix(self, ab):
         term = parse_term("?x:{a} -> STOP", ab)
         assert operational_traces(term, 2, ab) == {(), ("a",)}
-        assert check_correspondence(term, 2, ab).passed
+        assert check_correspondence(term, ab).passed
 
     def test_correspondence_synchronized_doom(self, ab):
         # After the synchronized a the composition is doomed, so a is not a
         # valid trace on either side.
         term = parse_term("?x:{a} -> STOP |[{a}]| ?x:{a} -> FAIL", ab)
         assert operational_traces(term, 2, ab) == {()}
-        assert check_correspondence(term, 2, ab).passed
+        assert check_correspondence(term, ab).passed
 
     def test_doomed_normalization_examples(self, ab):
         assert check_doomed_normalization(FAIL, ab).passed
@@ -92,16 +92,16 @@ class TestChecks:
         assert check_doomed_normalization(Choice(FAIL, FAIL), ab).passed
 
     def test_derivative_decomposition_examples(self, ab):
-        assert check_derivative_decomposition(STOP, "a", 2, ab).passed
+        assert check_derivative_decomposition(STOP, "a", ab).passed
         term = parse_term("?x:{a,b} -> STOP", ab)
-        assert check_derivative_decomposition(term, "a", 2, ab).passed
+        assert check_derivative_decomposition(term, "a", ab).passed
         term = parse_term("?x:{a} -> STOP [] ?x:{a} -> FAIL", ab)
-        assert check_derivative_decomposition(term, "a", 2, ab).passed
+        assert check_derivative_decomposition(term, "a", ab).passed
 
     def test_emptiness_examples(self, ab):
-        assert check_doomed_iff_empty(FAIL, 2, ab).passed
-        assert check_doomed_iff_empty(STOP, 2, ab).passed
-        assert check_doomed_iff_empty(parse_term("FAIL |[{}]| STOP", ab), 2, ab).passed
+        assert check_doomed_iff_empty(FAIL, ab).passed
+        assert check_doomed_iff_empty(STOP, ab).passed
+        assert check_doomed_iff_empty(parse_term("FAIL |[{}]| STOP", ab), ab).passed
 
     def test_continuity_instances(self, ab):
         rng = random.Random(3)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cspmon import monitor
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
 from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
@@ -89,11 +90,12 @@ class TestFeed:
         state = init_monitor(STOP, ab, strict=True)
         assert verdict_of(feed(state, "zz")) is Verdict.FAILED
 
-    def test_residual_cap_overflow(self, ab):
+    def test_residual_cap_overflow(self, ab, monkeypatch):
         term = parse_term(
             "?x:{a} -> STOP [] ?x:{a} -> FAIL [] ?x:{a} -> ?y:{b} -> STOP", ab
         )
-        state = init_monitor(term, ab, residual_cap=1)
+        monkeypatch.setattr(monitor, "RESIDUAL_CAP", 1)
+        state = init_monitor(term, ab)
         with pytest.raises(ResidualOverflowError):
             feed(state, "a")
 

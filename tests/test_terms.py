@@ -114,20 +114,21 @@ class TestSubstitute:
 
 class TestEvalEventSet:
     def test_literal_with_variable(self, abc):
-        got = eval_event_set(Literal((A, X)), {X: B}, abc)
-        assert got == {"a", "b"}
+        filled = substitute(B, X, Prefix(Y, Literal((A, X)), STOP)).events
+        assert eval_event_set(filled, abc) == {"a", "b"}
 
     def test_complement(self, ab):
-        got = eval_event_set(SetDifference(FullAlphabet(), Literal((A,))), {}, ab)
+        got = eval_event_set(SetDifference(FullAlphabet(), Literal((A,))), ab)
         assert got == {"b"}
 
     def test_intersection(self, ab):
-        got = eval_event_set(SetIntersection(Literal((X,)), Literal((A,))), {X: A}, ab)
-        assert got == {"a"}
+        sync = SetIntersection(Literal((X,)), Literal((A,)))
+        filled = substitute(A, X, Parallel(STOP, sync, STOP)).sync
+        assert eval_event_set(filled, ab) == {"a"}
 
     def test_unbound_variable_raises(self, ab):
         with pytest.raises(UnboundVariableError) as exc:
-            eval_event_set(Literal((X,)), {}, ab)
+            eval_event_set(Literal((X,)), ab)
         assert "x" in str(exc.value)
 
     def test_result_within_alphabet_on_random_terms(self, abc):
@@ -139,7 +140,7 @@ class TestEvalEventSet:
                 for attr in ("events", "sync"):
                     expr = getattr(t, attr, None)
                     if expr is not None and not _has_vars(expr):
-                        assert eval_event_set(expr, {}, abc) <= abc
+                        assert eval_event_set(expr, abc) <= abc
                 for attr in ("body", "left", "right"):
                     child = getattr(t, attr, None)
                     if child is not None:

@@ -35,10 +35,6 @@ class TestPrependAdjoin:
         assert got.traces == {(), ("a",), ("a", "b")}
         assert got.exact_depth == 2
 
-    def test_cap_truncates(self):
-        got = prepend_adjoin("a", ts((), ("b",), depth=1), cap=1)
-        assert got.traces == {(), ("a",)}
-
 
 class TestDerive:
     def test_strips_leading_event(self):
