@@ -7,7 +7,8 @@ Subcommands:
   check   SPEC [--count M] [--seed N] [--max-size S]
 
 Exit codes: 0 success (monitor: final verdict RUNNING), 1 failure
-(monitor: FAILED, check: violations found), 2 usage or format errors.
+(monitor: FAILED, check: violations found), 2 usage or format errors, and
+input too deep or too large for the stack or memory.
 """
 
 from __future__ import annotations
@@ -123,6 +124,18 @@ def cmd_check(args) -> int:
     return 1 if failures else 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cspmon",
@@ -141,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traces", help="print the trace set at a depth bound")
     p.add_argument("spec")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_traces)
 
     p = sub.add_parser("step", help="explore transitions for debugging")
@@ -153,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the conformance suite")
     p.add_argument("spec")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--max-size", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_check)
     return parser
 
@@ -172,6 +185,10 @@ def main(argv=None) -> int:
         return 2
     except CspmonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # Exit 1 would read as a FAILED verdict.
+        print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

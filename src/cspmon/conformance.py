@@ -35,6 +35,7 @@ from .terms import (
     term_size,
 )
 from .traces import (
+    EMPTY_TRACE_SET,
     EPSILON,
     Trace,
     TraceSet,
@@ -114,14 +115,14 @@ def _gen_set(rng, cfg, scope, depth) -> EventSetExpr:
 def gen_prefix_closed(rng: random.Random, alphabet: frozenset[str], depth: int) -> TraceSet:
     """A random prefix-closed trace set with traces of length <= depth."""
     if rng.random() < 0.1:
-        return TraceSet(frozenset(), depth)
+        return EMPTY_TRACE_SET
     traces = {EPSILON}
     events = sorted(alphabet)
     for _ in range(rng.randint(0, 3 * depth + 1)):
         t = tuple(rng.choice(events) for _ in range(rng.randint(1, depth)))
         for i in range(1, len(t) + 1):
             traces.add(t[:i])
-    return TraceSet(frozenset(traces), depth)
+    return TraceSet(frozenset(traces))
 
 
 # --- reports --------------------------------------------------------------
@@ -315,8 +316,13 @@ def check_continuity_instance(
     alphabet: frozenset[str],
 ) -> CheckReport:
     """Binary-union distributivity of the parallel trace-set operator."""
-    lhs = parcomp(t1.union(t1_prime), sync, t2, alphabet)
-    rhs = parcomp(t1, sync, t2, alphabet).union(parcomp(t1_prime, sync, t2, alphabet))
+    t1_union = t1.union(t1_prime)
+    # Composed in full: no merge is longer than the two longest operands.
+    depth = max(map(len, t1_union.traces), default=0) + max(map(len, t2.traces), default=0)
+    lhs = parcomp(t1_union, sync, t2, alphabet, depth)
+    rhs = parcomp(t1, sync, t2, alphabet, depth).union(
+        parcomp(t1_prime, sync, t2, alphabet, depth)
+    )
     ok = lhs.traces == rhs.traces
     detail = "" if ok else f"lhs={sorted(lhs.traces)} rhs={sorted(rhs.traces)}"
     return CheckReport("parcomp-continuity", ok, None, None if ok else detail, detail)

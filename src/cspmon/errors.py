@@ -19,11 +19,10 @@ class ParseError(CspmonError):
 class UndeclaredEventError(CspmonError):
     """An identifier that is neither a declared event nor a bound variable."""
 
-    def __init__(self, name: str, line: int | None = None, column: int | None = None):
-        pos = f"{line}:{column}: " if line is not None else ""
+    def __init__(self, name: str, line: int, column: int):
         super().__init__(
-            f"{pos}undeclared event {name!r} (not in the alphabet and not bound "
-            f"by any enclosing ?-binder)"
+            f"{line}:{column}: undeclared event {name!r} (not in the alphabet "
+            f"and not bound by any enclosing ?-binder)"
         )
         self.name = name
         self.line = line

@@ -120,8 +120,6 @@ class SetDifference(_Node):
 
 EventSetExpr = Union[Literal, FullAlphabet, SetUnion, SetIntersection, SetDifference]
 
-EMPTY_SET = Literal(())
-
 
 def literal(*names: str) -> Literal:
     """Shorthand for a literal set of concrete events."""

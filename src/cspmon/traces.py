@@ -1,10 +1,10 @@
-"""Denotational trace semantics: prefix-closed trace sets at a depth bound.
+"""Denotational trace semantics: prefix-closed sets of finite traces.
 
-The semantic map assigns each closed term the set of traces it can emit.
-All sets here are finite and carry ``exact_depth``: the set stores exactly
-the traces of length <= exact_depth of the (conceptually unbounded) set it
-approximates.  Without recursion in the term language every semantic set is
-actually finite, but the bound keeps truncation explicit and future-proof.
+The semantic map assigns each closed term the set of traces it can emit.  A
+trace set is just that finite set: the term language has no recursion, so
+every term has finitely many traces, none longer than its ``prefix_depth``.
+A depth appears only where a set is truncated: ``semantics`` keeps the
+traces of length <= ``depth``, and ``parcomp`` stops merging at ``depth``.
 """
 
 from __future__ import annotations
@@ -31,46 +31,28 @@ EPSILON: Trace = ()
 @dataclass(frozen=True)
 class TraceSet:
     traces: frozenset[Trace]
-    exact_depth: int
-
-    def __post_init__(self):
-        assert all(len(t) <= self.exact_depth for t in self.traces)
 
     def is_empty(self) -> bool:
         return not self.traces
 
     def union(self, other: "TraceSet") -> "TraceSet":
-        depth = min(self.exact_depth, other.exact_depth)
-        merged = frozenset(
-            t for t in self.traces | other.traces if len(t) <= depth
-        )
-        return TraceSet(merged, depth)
+        return TraceSet(self.traces | other.traces)
 
 
-def empty_trace_set(depth: int) -> TraceSet:
-    return TraceSet(frozenset(), depth)
-
-
-def epsilon_trace_set(depth: int) -> TraceSet:
-    return TraceSet(frozenset({EPSILON}), depth)
+EMPTY_TRACE_SET = TraceSet(frozenset())
+EPSILON_TRACE_SET = TraceSet(frozenset({EPSILON}))
 
 
 def prepend_adjoin(event: str, ts: TraceSet) -> TraceSet:
-    """``e T``: prepend ``event`` to every trace of ``ts`` and adjoin epsilon.
-
-    The result is exact to depth ``ts.exact_depth + 1``.
-    """
+    """``e T``: prepend ``event`` to every trace of ``ts`` and adjoin epsilon."""
     traces = {EPSILON}
     traces.update((event,) + t for t in ts.traces)
-    return TraceSet(frozenset(traces), ts.exact_depth + 1)
+    return TraceSet(frozenset(traces))
 
 
 def derive(ts: TraceSet, event: str) -> TraceSet:
     """``T(e)``: traces of ``ts`` starting with ``event``, head removed."""
-    return TraceSet(
-        frozenset(t[1:] for t in ts.traces if t and t[0] == event),
-        max(ts.exact_depth - 1, 0),
-    )
+    return TraceSet(frozenset(t[1:] for t in ts.traces if t and t[0] == event))
 
 
 def parcomp(
@@ -78,6 +60,7 @@ def parcomp(
     sync: frozenset[str],
     t2: TraceSet,
     alphabet: frozenset[str],
+    depth: int,
 ) -> TraceSet:
     """The parallel operator on trace sets, synchronized on ``sync``.
 
@@ -85,13 +68,10 @@ def parcomp(
     ``sync`` advance both sides in lockstep and all other alphabet events
     interleave.
 
-    The result is exact to ``min`` of the operand depths.  A per-call memo
-    table keeps the derivative recursion polynomial.
+    The result holds the merged traces of length <= ``depth``.  A per-call
+    memo table keeps the derivative recursion polynomial.
     """
-    depth = min(t1.exact_depth, t2.exact_depth)
-    memo: dict = {}
-    traces = _parcomp(t1.traces, sync, t2.traces, alphabet, depth, memo)
-    return TraceSet(traces, depth)
+    return TraceSet(_parcomp(t1.traces, sync, t2.traces, alphabet, depth, {}))
 
 
 def _parcomp(s1, sync, s2, alphabet, budget, memo):
@@ -115,29 +95,27 @@ def _parcomp(s1, sync, s2, alphabet, budget, memo):
                 _parcomp(s1, sync, d2, alphabet, budget - 1, memo),
             ]
         for sub in branches:
-            for t in sub:
-                if len(t) + 1 <= budget:
-                    out.add((e,) + t)
+            out.update((e,) + t for t in sub)
     result = frozenset(out)
     memo[key] = result
     return result
 
 
 def semantics(term: Term, depth: int, alphabet: frozenset[str]) -> TraceSet:
-    """The trace set of a closed term, exact to ``depth``.
+    """The traces of length <= ``depth`` of a closed term.
 
     STOP denotes {epsilon}, FAIL the empty set, prefix adjoins epsilon and
     branches over its event set, choice is union, and parallel is
     ``parcomp``.
     """
     if isinstance(term, Stop):
-        return epsilon_trace_set(depth)
+        return EPSILON_TRACE_SET
     if isinstance(term, Fail):
-        return empty_trace_set(depth)
+        return EMPTY_TRACE_SET
     if isinstance(term, Prefix):
+        result = EPSILON_TRACE_SET
         if depth <= 0:
-            return epsilon_trace_set(depth)
-        result = epsilon_trace_set(depth)
+            return result
         events = eval_event_set(term.events, alphabet)
         for e in sorted(events):
             sub = semantics(substitute(Event(e), term.var, term.body), depth - 1, alphabet)
@@ -154,6 +132,7 @@ def semantics(term: Term, depth: int, alphabet: frozenset[str]) -> TraceSet:
         sync,
         semantics(term.right, depth, alphabet),
         alphabet,
+        depth,
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -169,6 +170,44 @@ class TestCheckCommand:
         assert failures == self.FAIL_LINES[name]
 
 
+class TestGoldenOutput:
+    # sha256 and line count of stdout.  Depths below the spec's full depth
+    # (8) truncate, so they exercise parcomp's merge budget.
+    C = "?x:{a,b,c} -> ?x:{a,b,c} -> ?x:{a,b,c} -> ?x:{a,b,c} -> STOP"
+    TRACES_SPEC = (
+        f"alphabet {{a,b,c}} process ({C} |[{{a}}]| {C}) [] (?x:{{b}} -> FAIL |[{{}}]| {C})"
+    )
+    FULL = ("32a33cebf4bf77f9918a4c573b1f9ab55e49ec2273193fa26c121e72268bb406", 1681)
+    TRACES_DIGESTS = {
+        0: ("01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b", 1),
+        1: ("c17658c946a824694616753c742ed7b4c1ee8e14fd32410421117418988eead3", 4),
+        3: ("bea6a190ba6fcab95cad0fb642bac1911c868de99b09476c3d78fdfb2e91c928", 40),
+        5: ("0ba6003075993f1a14c9b1b8201c9c7a8d65c3f9e4cfde05ae3b047daf7ab530", 353),
+        # The spec's full depth is 8, so depth 10 prints the same traces.
+        8: FULL,
+        10: FULL,
+    }
+
+    @staticmethod
+    def _digest(capsys):
+        out = capsys.readouterr().out.encode()
+        return hashlib.sha256(out).hexdigest(), out.count(b"\n")
+
+    def test_check(self, spec_file, capsys):
+        spec = spec_file("alphabet {a,b,c} process ?x:{a,b} -> STOP |[{a}]| ?y:{a} -> FAIL")
+        assert main(["check", spec, "--count", "300", "--seed", "5"]) == 0
+        assert self._digest(capsys) == (
+            "f6699837a6b373c13fa99db1386951ea92b055ca6ad011e8f2aa654cae7e9dbc",
+            1806,
+        )
+
+    @pytest.mark.parametrize("depth", sorted(TRACES_DIGESTS))
+    def test_traces(self, depth, spec_file, capsys):
+        spec = spec_file(self.TRACES_SPEC)
+        assert main(["traces", spec, "--depth", str(depth)]) == 0
+        assert self._digest(capsys) == self.TRACES_DIGESTS[depth]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -217,6 +256,23 @@ class TestUsageErrors:
         )
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["traces", "--depth", "-1"],
+            ["check", "--max-size", "0"],
+            ["check", "--count", "-3"],
+        ],
+        ids=["negative-depth", "zero-max-size", "negative-count"],
+    )
+    def test_out_of_range_number_is_usage_error(self, argv, spec_file, capsys):
+        spec = spec_file("alphabet {a} process STOP")
+        assert main([argv[0], spec, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {argv[1]}: must be at least" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "command, spec_bytes, record",
         [
             ("traces", b"alphabet {a} process \xff", None),
@@ -241,3 +297,31 @@ class TestUsageErrors:
             argv += ["--events", str(events), "--format", "json"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestResourceErrors:
+    # A crash must not exit 1, which reads as a FAILED verdict.
+    def _assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_deep_chain_under_monitor(self, spec_file, events_file, capsys):
+        spec = spec_file("alphabet {a} process " + "?x:{a} -> " * 5000 + "STOP")
+        assert main(["monitor", spec, "--events", events_file(["a"])]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_wide_parallel_under_traces(self, spec_file, capsys):
+        spec = spec_file("alphabet {a} process " + " |[{}]| ".join(["STOP"] * 5000))
+        assert main(["traces", spec, "--depth", "1"]) == 2
+        self._assert_one_error_line(capsys)
+
+    def test_memory_error(self, spec_file, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("cspmon.cli.semantics", exhausted)
+        spec = spec_file("alphabet {a} process STOP")
+        assert main(["traces", spec, "--depth", "1"]) == 2
+        self._assert_one_error_line(capsys)

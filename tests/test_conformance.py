@@ -105,7 +105,7 @@ class TestChecks:
 
     def test_continuity_instances(self, ab):
         rng = random.Random(3)
-        empty = TraceSet(frozenset(), 3)
+        empty = TraceSet(frozenset())
         some = gen_prefix_closed(rng, ab, 3)
         assert check_continuity_instance(empty, some, frozenset(), some, ab).passed
         assert check_continuity_instance(some, some, frozenset("a"), some, ab).passed

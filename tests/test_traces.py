@@ -19,21 +19,20 @@ from cspmon.traces import (
 from conftest import parcomp_bruteforce, prefix_closure
 
 
-def ts(*traces, depth=3):
-    return TraceSet(frozenset(tuple(t) for t in traces), depth)
+def ts(*traces):
+    return TraceSet(frozenset(tuple(t) for t in traces))
 
 
 class TestPrependAdjoin:
     def test_empty_still_adjoins_epsilon(self):
-        assert prepend_adjoin("a", ts(depth=0)).traces == {EPSILON}
+        assert prepend_adjoin("a", ts()).traces == {EPSILON}
 
     def test_singleton(self):
-        assert prepend_adjoin("a", ts("", depth=0)).traces == {(), ("a",)}
+        assert prepend_adjoin("a", ts("")).traces == {(), ("a",)}
 
     def test_two_traces(self):
-        got = prepend_adjoin("a", ts((), ("b",), depth=1))
+        got = prepend_adjoin("a", ts((), ("b",)))
         assert got.traces == {(), ("a",), ("a", "b")}
-        assert got.exact_depth == 2
 
 
 class TestDerive:
@@ -44,23 +43,23 @@ class TestDerive:
         assert derive(ts((), ("b",)), "a").traces == frozenset()
 
     def test_empty(self):
-        assert derive(ts(depth=2), "a").traces == frozenset()
+        assert derive(ts(), "a").traces == frozenset()
 
 
 class TestParcomp:
     def test_empty_operand_wins(self, ab):
-        got = parcomp(ts(depth=2), frozenset("a"), ts((), depth=2), ab)
+        got = parcomp(ts(), frozenset("a"), ts(()), ab, 2)
         assert got.traces == frozenset()
 
     def test_synchronized_event(self):
         # Hand expansion: the synchronized branch is a(T1(a) || T2(a)) with
         # both derivatives {eps}, and a({eps} || {eps}) = {eps, a}.
-        t1 = ts((), ("a",), depth=2)
-        got = parcomp(t1, frozenset("a"), t1, frozenset("a"))
+        t1 = ts((), ("a",))
+        got = parcomp(t1, frozenset("a"), t1, frozenset("a"), 2)
         assert got.traces == {(), ("a",)}
 
     def test_full_interleaving(self, ab):
-        got = parcomp(ts((), ("a",)), frozenset(), ts((), ("b",)), ab)
+        got = parcomp(ts((), ("a",)), frozenset(), ts((), ("b",)), ab, 3)
         assert got.traces == {(), ("a",), ("b",), ("a", "b"), ("b", "a")}
 
     def test_against_bruteforce_merge_oracle(self, ab):
@@ -69,8 +68,8 @@ class TestParcomp:
             t1 = gen_prefix_closed(rng, ab, 3)
             t2 = gen_prefix_closed(rng, ab, 3)
             sync = frozenset(e for e in ab if rng.random() < 0.5)
-            got = parcomp(t1, sync, t2, ab)
-            want = parcomp_bruteforce(t1.traces, sync, t2.traces, got.exact_depth)
+            got = parcomp(t1, sync, t2, ab, 3)
+            want = parcomp_bruteforce(t1.traces, sync, t2.traces, 3)
             assert got.traces == want
 
 
@@ -98,10 +97,13 @@ class TestSemantics:
 
     def test_depth_monotone(self, abc):
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=22), 200):
-            for k in range(prefix_depth(term) + 1):
+            n = prefix_depth(term)
+            for k in range(n + 1):
                 small = semantics(term, k, abc).traces
                 big = semantics(term, k + 1, abc).traces
                 assert small == {t for t in big if len(t) <= k}
+            # prefix_depth bounds every trace: a deeper evaluation adds none.
+            assert semantics(term, n + 2, abc).traces == semantics(term, n, abc).traces
 
     def test_empty_iff_empty_at_depth_zero(self, abc):
         from cspmon.terms import is_doomed
@@ -121,8 +123,8 @@ class TestDistributivity:
             t1p = gen_prefix_closed(rng, ab, 3)
             t2 = gen_prefix_closed(rng, ab, 3)
             sync = frozenset(e for e in ab if rng.random() < 0.5)
-            lhs = parcomp(t1.union(t1p), sync, t2, ab)
-            rhs = parcomp(t1, sync, t2, ab).union(parcomp(t1p, sync, t2, ab))
+            lhs = parcomp(t1.union(t1p), sync, t2, ab, 3)
+            rhs = parcomp(t1, sync, t2, ab, 3).union(parcomp(t1p, sync, t2, ab, 3))
             assert lhs.traces == rhs.traces
 
 
@@ -175,10 +177,10 @@ class TestFixpointUniqueness:
             t1 = gen_prefix_closed(rng, ab, 3)
             t2 = gen_prefix_closed(rng, ab, 3)
             sync = frozenset(e for e in ab if rng.random() < 0.5)
-            k = min(t1.exact_depth, t2.exact_depth)
+            k = 3
             least = _approx(k + 1, t1.traces, t2.traces, sync, ab, k, seed_full=False)
             greatest = _approx(k + 1, t1.traces, t2.traces, sync, ab, k, seed_full=True)
-            direct = parcomp(t1, sync, t2, ab).traces
+            direct = parcomp(t1, sync, t2, ab, k).traces
             assert least == greatest == direct
 
 
@@ -190,5 +192,5 @@ class TestSerialization:
         assert parse_trace("") == ()
 
     def test_canonical_order(self):
-        got = canonical_traces(ts((), ("b",), ("a",), ("a", "b"), depth=2))
+        got = canonical_traces(ts((), ("b",), ("a",), ("a", "b")))
         assert got == [(), ("a",), ("b",), ("a", "b")]
