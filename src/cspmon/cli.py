@@ -74,9 +74,6 @@ def cmd_monitor(args) -> int:
     except ValueError as exc:
         print(f"error: malformed event record: {exc}", file=sys.stderr)
         return 2
-    except OutOfAlphabetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -93,10 +90,13 @@ def cmd_traces(args) -> int:
 
 def cmd_step(args) -> int:
     spec = _load_spec(args.spec)
+    trace = parse_trace(args.trace)
+    for event in trace:
+        if event not in spec.alphabet:
+            raise OutOfAlphabetError(event)
     if args.dot:
         print(to_dot(spec.root, spec.alphabet), end="")
         return 0
-    trace = parse_trace(args.trace) if args.trace else ()
     states = run(spec.root, trace, spec.alphabet)
     for state in sorted(states, key=print_term):
         print(f"state: {print_term(state)}")
@@ -180,10 +180,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CspmonError as exc:
+    except (OSError, CspmonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError) as exc:

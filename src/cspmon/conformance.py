@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .sos import TAU, internal_successors, tau_closure, visible_successors
+from .sos import TAU, advance, internal_successors, tau_closure, visible_successors
 from .syntax import print_term
 from .terms import (
     Choice,
@@ -203,29 +203,21 @@ def operational_traces(
 ) -> frozenset[Trace]:
     """Traces of length <= depth after which some viable term is reachable.
 
-    Breadth-first over (trace, reachable-term-set) pairs; dead traces (empty
-    state sets) are dropped, which keeps the frontier proportional to the
+    Depth-first over (trace, reachable-term-set) pairs; dead traces (empty
+    state sets) are dropped, which keeps the stack proportional to the
     actual trace set.
     """
     out = set()
-    frontier = {EPSILON: tau_closure(term, alphabet)}
-    for _ in range(depth + 1):
-        next_frontier: dict = {}
-        for trace, states in frontier.items():
-            if any(not is_doomed(s) for s in states):
-                out.add(trace)
-            if len(trace) == depth:
-                continue
-            for e in sorted(alphabet):
-                succ = frozenset(
-                    q for s in states for q in visible_successors(s, e, alphabet)
-                )
+    stack = [(EPSILON, tau_closure(term, alphabet))]
+    while stack:
+        trace, states = stack.pop()
+        if any(not is_doomed(s) for s in states):
+            out.add(trace)
+        if len(trace) < depth:
+            for e in alphabet:
+                succ = advance(states, e, alphabet)
                 if succ:
-                    key = trace + (e,)
-                    next_frontier[key] = next_frontier.get(key, frozenset()) | succ
-        if not next_frontier:
-            break
-        frontier = next_frontier
+                    stack.append((trace + (e,), succ))
     return frozenset(out)
 
 

@@ -1,8 +1,9 @@
 """Online verdict engine.
 
-The monitor tracks every residual term the specification could be in after
-the events consumed so far.  The verdict is RUNNING while at least one
-residual is viable, and FAILED (irrevocably) as soon as none is, which is
+The monitor state is the set of viable residuals: every term the
+specification could be in after the events consumed so far that can still
+accept the empty trace.  The verdict is derived from it: RUNNING while the
+set is non-empty, and FAILED (irrevocably) once it is empty, which is
 exactly when the consumed trace has strayed out of the specification's
 trace set.
 """
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import OutOfAlphabetError, ResidualOverflowError
-from .sos import tau_closure, visible_successors
+from .sos import advance, tau_closure
 from .terms import Term, is_doomed
 from .traces import Trace
 
@@ -28,8 +29,8 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class MonitorState:
+    # The viable residuals; empty exactly when the run has FAILED.
     residuals: frozenset[Term]
-    verdict: Verdict
     alphabet: frozenset[str]
     strict: bool = False
     # The consumed events as a persistent list, newest first: None or
@@ -37,6 +38,10 @@ class MonitorState:
     # of copying it, so a stream costs linear time.  Left out of equality
     # and repr, which would otherwise recurse once per event.
     trail: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.RUNNING if self.residuals else Verdict.FAILED
 
     @property
     def consumed(self) -> Trace:
@@ -53,17 +58,12 @@ def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) 
     """Start monitoring a closed specification term.
 
     The initial verdict is FAILED exactly when the term is already doomed,
-    i.e. when even the empty trace is not permitted.
+    i.e. when even the empty trace is not permitted.  A tau step never
+    changes whether a term is doomed, so the tau closure of a viable term is
+    entirely viable.
     """
-    residuals = tau_closure(term, alphabet)
-    verdict = (
-        Verdict.RUNNING if any(not is_doomed(r) for r in residuals) else Verdict.FAILED
-    )
-    return MonitorState(residuals, verdict, alphabet, strict)
-
-
-def _advance(state, residuals, verdict, event) -> MonitorState:
-    return MonitorState(residuals, verdict, state.alphabet, state.strict, (state.trail, event))
+    residuals = frozenset() if is_doomed(term) else tau_closure(term, alphabet)
+    return MonitorState(residuals, alphabet, strict)
 
 
 def feed(state: MonitorState, event: str) -> MonitorState:
@@ -73,25 +73,17 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     OutOfAlphabetError (an instrumentation mismatch, not a verdict) unless
     the monitor is strict, in which case they fail the run.
     """
+    residuals = frozenset()
     if event not in state.alphabet:
-        if state.strict:
-            return _advance(state, frozenset(), Verdict.FAILED, event)
-        raise OutOfAlphabetError(event)
-    if state.verdict is Verdict.FAILED:
-        return _advance(state, state.residuals, Verdict.FAILED, event)
-    residuals = set()
-    for r in state.residuals:
-        if is_doomed(r):
-            continue  # doomed residuals emit nothing visible
-        residuals |= visible_successors(r, event, state.alphabet)
-    if len(residuals) > RESIDUAL_CAP:
-        raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
-    viable = frozenset(r for r in residuals if not is_doomed(r))
-    if viable:
-        # Doomed residuals can never become viable again; drop them while a
-        # viable sibling keeps the verdict alive.
-        return _advance(state, viable, Verdict.RUNNING, event)
-    return _advance(state, frozenset(residuals), Verdict.FAILED, event)
+        if not state.strict:
+            raise OutOfAlphabetError(event)
+    elif state.residuals:
+        reached = advance(state.residuals, event, state.alphabet)
+        if len(reached) > RESIDUAL_CAP:
+            raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
+        # Doomed residuals can never become viable again.
+        residuals = frozenset(r for r in reached if not is_doomed(r))
+    return MonitorState(residuals, state.alphabet, state.strict, (state.trail, event))
 
 
 def verdict_of(state: MonitorState) -> Verdict:

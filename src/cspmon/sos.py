@@ -170,13 +170,21 @@ def visible_successors(
     return frozenset(out)
 
 
+def advance(
+    states: frozenset[Term], event: str, alphabet: frozenset[str]
+) -> frozenset[Term]:
+    """All terms reachable from some term of ``states`` by emitting ``event``."""
+    out = set()
+    for s in states:
+        out |= visible_successors(s, event, alphabet)
+    return frozenset(out)
+
+
 def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting ``trace``."""
     states = tau_closure(term, alphabet)
     for event in trace:
-        states = frozenset(
-            q for s in states for q in visible_successors(s, event, alphabet)
-        )
+        states = advance(states, event, alphabet)
     return states
 
 

@@ -68,9 +68,10 @@ class TestMonitorCommand:
         events.write_text("{not json\n")
         assert main(["monitor", spec, "--events", str(events), "--format", "json"]) == 2
 
-    def test_out_of_alphabet_exits_two(self, spec_file, events_file):
+    def test_out_of_alphabet_exits_two(self, spec_file, events_file, capsys):
         spec = spec_file("alphabet {a} process STOP")
         assert main(["monitor", spec, "--events", events_file(["zz"])]) == 2
+        assert capsys.readouterr().err == "error: event 'zz' is not in the declared alphabet\n"
 
     def test_strict_turns_mismatch_into_failure(self, spec_file, events_file):
         spec = spec_file("alphabet {a} process STOP")
@@ -207,6 +208,53 @@ class TestGoldenOutput:
         assert main(["traces", spec, "--depth", str(depth)]) == 0
         assert self._digest(capsys) == self.TRACES_DIGESTS[depth]
 
+    # perfbench's interleave_spec("a", "b", 2, 3): two 3-deep chains that
+    # fail on b at each step, interleaved.
+    C3 = (
+        "(?x:{a,b} -> (?x:{a,b} -> (?x:{a,b} -> STOP [] ?x:{b} -> FAIL)"
+        " [] ?x:{b} -> FAIL) [] ?x:{b} -> FAIL)"
+    )
+    INTERLEAVE_SPEC = f"alphabet {{a,b}} process {C3} |[{{}}]| {C3}"
+
+    @pytest.mark.parametrize(
+        "argv, events, code, digest",
+        [
+            (
+                ["monitor"],
+                "a b a b b a a b",
+                1,
+                ("51cf6677ddee92eac741cdf24529ee978b0e5b400b57792e45ca091115d80726", 8),
+            ),
+            (
+                ["monitor", "--strict"],
+                "a z b",
+                1,
+                ("d83568ee6a5d1a6fb3420159366bcb8f93b30814d7bdae1e4dd40ea1a5b9d2f7", 3),
+            ),
+            (
+                ["step", "--trace", "a.b"],
+                None,
+                0,
+                ("b6666894c85263ad60da529e862f95a6a79373b2a57036b002ab702763b79f5e", 30),
+            ),
+            (
+                ["step", "--dot"],
+                None,
+                0,
+                ("53cf380ab8a8d75624e6cfa167006766ea19af1987dbd12b0f20c9de12227307", 83),
+            ),
+        ],
+        ids=["monitor", "monitor-strict", "step-trace", "step-dot"],
+    )
+    def test_monitor_and_step(
+        self, argv, events, code, digest, spec_file, events_file, capsys
+    ):
+        args = [argv[0], spec_file(self.INTERLEAVE_SPEC), *argv[1:]]
+        if events is not None:
+            args += ["--events", events_file(events.split())]
+        assert main(args) == code
+        assert self._digest(capsys) == digest
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -219,6 +267,18 @@ class TestUsageErrors:
         spec = spec_file("alphabet {a} process STOP STOP")
         assert main(["traces", spec, "--depth", "2"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "trace, name, flags",
+        [("z", "z", []), ("a..b", "", []), ("z", "z", ["--dot"])],
+        ids=["z", "empty", "z-dot"],
+    )
+    def test_step_trace_out_of_alphabet(self, trace, name, flags, spec_file, capsys):
+        spec = spec_file("alphabet {a,b} process ?x:{a} -> ?y:{b} -> STOP")
+        assert main(["step", spec, "--trace", trace, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: event {name!r} is not in the declared alphabet\n"
 
     def test_non_utf8_spec_names_the_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.cspmon"

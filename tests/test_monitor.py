@@ -8,7 +8,7 @@ from cspmon import monitor
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
 from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
-from cspmon.sos import run
+from cspmon.sos import run, tau_closure
 from cspmon.syntax import parse_term
 from cspmon.terms import (
     EventVar,
@@ -127,5 +127,17 @@ class TestVerdictCorrectness:
                     break
                 reachable = run(term, state.consumed, abc)
                 for r in state.residuals:
-                    if not is_doomed(r):
-                        assert r in reachable
+                    assert r in reachable
+
+    def test_state_is_its_viable_residuals(self, abc):
+        rng = random.Random(78)
+        events = sorted(abc)
+        for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=53), 200):
+            states = [init_monitor(term, abc)]
+            for _ in range(rng.randint(1, 5)):
+                states.append(feed(states[-1], rng.choice(events)))
+            for state in states:
+                assert (verdict_of(state) is Verdict.RUNNING) == bool(state.residuals)
+                for r in state.residuals:
+                    assert not is_doomed(r)
+                    assert tau_closure(r, abc) <= state.residuals

@@ -8,7 +8,9 @@ from cspmon.errors import OpenTermError
 from cspmon.sos import (
     TAU,
     Transition,
+    advance,
     internal_successors,
+    reachable_transitions,
     run,
     tau_closure,
     visible_successors,
@@ -125,6 +127,13 @@ class TestRun:
     def test_stop_emits_nothing(self, ab):
         assert run(Prefix(X, literal("a"), STOP), ("a", "b"), ab) == frozenset()
 
+    def test_advance_unions_visible_successors(self, ab):
+        left = Prefix(X, literal("a"), STOP)
+        right = Prefix(X, literal("a", "b"), FAIL)
+        assert advance(frozenset({left, right}), "a", ab) == {STOP, FAIL}
+        assert advance(frozenset({left, right}), "b", ab) == {FAIL}
+        assert advance(frozenset(), "a", ab) == frozenset()
+
 
 class TestInvariants:
     def test_tau_strictly_shrinks(self, abc):
@@ -133,6 +142,14 @@ class TestInvariants:
                 for t in internal_successors(state, abc):
                     if t.action is TAU:
                         assert term_size(t.target) < term_size(t.source)
+
+    def test_tau_step_preserves_doomedness(self, abc):
+        # So the tau closure of a viable term is entirely viable, which the
+        # monitor relies on to keep only viable residuals.
+        for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=44), 500):
+            for t in reachable_transitions(term, abc):
+                if t.action is TAU:
+                    assert is_doomed(t.source) == is_doomed(t.target), t
 
     def test_doomed_stability_and_progress(self, abc):
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=42), 500):
