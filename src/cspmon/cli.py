@@ -95,6 +95,9 @@ def cmd_step(args) -> int:
         if event not in spec.alphabet:
             raise OutOfAlphabetError(event)
     if args.dot:
+        if trace:
+            raise CspmonError("--dot draws the transition system from the root; "
+                              "it cannot be combined with --trace")
         print(to_dot(spec.root, spec.alphabet), end="")
         return 0
     states = run(spec.root, trace, spec.alphabet)

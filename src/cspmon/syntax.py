@@ -160,14 +160,8 @@ class _Parser:
         return term
 
     def parse_atom(self, alphabet, scope) -> Term:
-        tok = self.peek()
-        if tok.text == "STOP":
-            self.next()
-            return Stop()
-        if tok.text == "FAIL":
-            self.next()
-            return Fail()
-        if tok.text == "?":
+        binders = []
+        while self.peek().text == "?":
             self.next()
             var_tok = self.expect_ident("binder variable")
             if var_tok.text in alphabet:
@@ -179,15 +173,23 @@ class _Parser:
             self.expect(":")
             events = self.parse_setexpr(alphabet, scope)
             self.expect("->")
-            body = self.parse_atom(alphabet, scope + (var_tok.text,))
-            return Prefix(EventVar(var_tok.text), events, body)
-        if tok.text == "(":
-            self.next()
+            binders.append((EventVar(var_tok.text), events))
+            if var_tok.text not in scope:
+                scope += (var_tok.text,)
+        tok = self.next()
+        if tok.text == "STOP":
+            term = Stop()
+        elif tok.text == "FAIL":
+            term = Fail()
+        elif tok.text == "(":
             term = self.parse_term(alphabet, scope)
             self.expect(")")
-            return term
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a process term, found {shown!r}", tok.line, tok.column)
+        else:
+            shown = tok.text or "end of input"
+            raise ParseError(f"expected a process term, found {shown!r}", tok.line, tok.column)
+        for var, events in reversed(binders):
+            term = Prefix(var, events, term)
+        return term
 
     def parse_setexpr(self, alphabet, scope) -> EventSetExpr:
         expr = self.parse_setterm(alphabet, scope)

@@ -6,18 +6,18 @@ prefix (emit one event from a set, binding it to a variable), external
 choice, and parallel composition synchronized on an event set.
 
 All values here are immutable and hash-consed (Filliâtre & Conchon,
-"Type-safe modular hash-consing", 2006): constructing a node whose
-structure already exists returns the existing object.  Equality is
-therefore identity, and each node's hash is computed once, from its
-children's stored hashes, so the caches of the transition engine look terms
-up in O(1) however deep they are.  Constructors take their fields
+"Type-safe modular hash-consing", 2006): constructing a node whose structure
+already exists returns the existing object.  Equality is therefore identity,
+and each node's hash is computed once, from its children's stored hashes, so
+the caches of the transition engine look terms up in O(1) however deep they
+are.  Free variables, doomedness, prefix depth and size are stored the same
+way, so reading one never walks the term.  Constructors take their fields
 positionally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import UnboundVariableError
@@ -44,19 +44,33 @@ class _Interned(type):
                 )
             node = object.__new__(cls)
             for name, value in zip(cls._fields, args):
-                object.__setattr__(node, name, value)
+                _set(node, name, value)
             # A frozen dataclass's hash, so set iteration order does not
             # depend on interning; children contribute their stored hashes.
-            object.__setattr__(node, "_hash", hash(args))
+            _set(node, "_hash", hash(args))
+            node._derive()
             cls._table[args] = node
         return node
 
 
+_set = object.__setattr__  # past the frozen dataclasses' own __setattr__
+_NO_VARS = frozenset()  # the free variables of every closed node
+
+
 class _Node(metaclass=_Interned):
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_free", "_doomed", "_depth", "_size")
 
     def __hash__(self):
         return self._hash
+
+    def _derive(self):
+        """Store the facts of a new node from its children's; a leaf's are constants."""
+
+    def _store(self, free, doomed, depth, size):
+        _set(self, "_free", free)
+        _set(self, "_doomed", doomed)
+        _set(self, "_depth", depth)
+        _set(self, "_size", size)
 
     def __reduce__(self):
         # copy, deepcopy and unpickling rebuild through the constructor, so
@@ -94,26 +108,38 @@ class Literal(_Node):
 
     params: tuple[EventParam, ...]
 
+    def _derive(self):
+        _set(self, "_free", frozenset(p for p in self.params if type(p) is EventVar) or _NO_VARS)
+
 
 @_hashconsed
 class FullAlphabet(_Node):
     """The whole declared alphabet (written ``Sigma`` in spec files)."""
 
+    _free = _NO_VARS
+
+
+class _SetOperation(_Node):
+    __slots__ = ()
+
+    def _derive(self):
+        _set(self, "_free", self.left._free | self.right._free or _NO_VARS)
+
 
 @_hashconsed
-class SetUnion(_Node):
+class SetUnion(_SetOperation):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
 
 @_hashconsed
-class SetIntersection(_Node):
+class SetIntersection(_SetOperation):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
 
 @_hashconsed
-class SetDifference(_Node):
+class SetDifference(_SetOperation):
     left: "EventSetExpr"
     right: "EventSetExpr"
 
@@ -133,10 +159,14 @@ def literal(*names: str) -> Literal:
 class Stop(_Node):
     """The stuck process: emits nothing, but is not a failure."""
 
+    _free, _doomed, _depth, _size = _NO_VARS, False, 0, 1
+
 
 @_hashconsed
 class Fail(_Node):
     """Global failure: aborts every parallel component."""
+
+    _free, _doomed, _depth, _size = _NO_VARS, True, 0, 1
 
 
 @_hashconsed
@@ -147,6 +177,12 @@ class Prefix(_Node):
     events: EventSetExpr
     body: "Term"
 
+    def _derive(self):
+        body, bound = self.body, self.events._free
+        free = body._free - {self.var} if self.var in body._free else body._free
+        free = bound | free if bound else free or _NO_VARS
+        self._store(free, False, body._depth + 1, body._size + 1)
+
 
 @_hashconsed
 class Choice(_Node):
@@ -154,6 +190,11 @@ class Choice(_Node):
 
     left: "Term"
     right: "Term"
+
+    def _derive(self):
+        left, right = self.left, self.right
+        self._store(left._free | right._free or _NO_VARS, left._doomed and right._doomed,
+                    max(left._depth, right._depth), left._size + right._size + 1)
 
 
 @_hashconsed
@@ -163,6 +204,12 @@ class Parallel(_Node):
     left: "Term"
     sync: EventSetExpr
     right: "Term"
+
+    def _derive(self):
+        left, right = self.left, self.right
+        free = left._free | self.sync._free | right._free or _NO_VARS
+        self._store(free, left._doomed or right._doomed,
+                    left._depth + right._depth, left._size + right._size + 1)
 
 
 Term = Union[Stop, Fail, Prefix, Choice, Parallel]
@@ -199,10 +246,10 @@ def eval_event_set(expr: EventSetExpr, alphabet: frozenset[str]) -> frozenset[st
 
 
 def _subst_set(e: Event, x: EventVar, expr: EventSetExpr) -> EventSetExpr:
+    if x not in expr._free:
+        return expr
     if isinstance(expr, Literal):
         return Literal(tuple(e if p == x else p for p in expr.params))
-    if isinstance(expr, FullAlphabet):
-        return expr
     return type(expr)(_subst_set(e, x, expr.left), _subst_set(e, x, expr.right))
 
 
@@ -213,7 +260,7 @@ def substitute(e: Event, x: EventVar, term: Term) -> Term:
     set of a prefix rebinding ``x`` is still substituted (it is evaluated in
     the enclosing scope), while its body is left alone.
     """
-    if isinstance(term, (Stop, Fail)):
+    if x not in term._free:
         return term
     if isinstance(term, Prefix):
         new_set = _subst_set(e, x, term.events)
@@ -229,51 +276,25 @@ def substitute(e: Event, x: EventVar, term: Term) -> Term:
     )
 
 
-@lru_cache(maxsize=None)
 def is_doomed(term: Term) -> bool:
     """Syntactic doomed check: D ::= FAIL | D [] D | D || P | P || D.
 
     A doomed term inevitably propagates failure; a viable term is any other.
     """
-    if isinstance(term, Fail):
-        return True
-    if isinstance(term, Choice):
-        return is_doomed(term.left) and is_doomed(term.right)
-    if isinstance(term, Parallel):
-        return is_doomed(term.left) or is_doomed(term.right)
-    return False
+    return term._doomed
 
 
 def term_size(term: Term) -> int:
     """Constructor count; event sets do not contribute."""
-    if isinstance(term, (Stop, Fail)):
-        return 1
-    if isinstance(term, Prefix):
-        return term_size(term.body) + 1
-    return term_size(term.left) + term_size(term.right) + 1
+    return term._size
 
 
-def _set_free_vars(expr: EventSetExpr) -> frozenset[EventVar]:
-    if isinstance(expr, Literal):
-        return frozenset(p for p in expr.params if isinstance(p, EventVar))
-    if isinstance(expr, FullAlphabet):
-        return frozenset()
-    return _set_free_vars(expr.left) | _set_free_vars(expr.right)
-
-
-@lru_cache(maxsize=None)
-def free_vars(term: Term) -> frozenset[EventVar]:
-    if isinstance(term, (Stop, Fail)):
-        return frozenset()
-    if isinstance(term, Prefix):
-        return _set_free_vars(term.events) | (free_vars(term.body) - {term.var})
-    if isinstance(term, Choice):
-        return free_vars(term.left) | free_vars(term.right)
-    return free_vars(term.left) | _set_free_vars(term.sync) | free_vars(term.right)
+def free_vars(node: "Term | EventSetExpr") -> frozenset[EventVar]:
+    return node._free
 
 
 def is_closed(term: Term) -> bool:
-    return not free_vars(term)
+    return not term._free
 
 
 def prefix_depth(term: Term) -> int:
@@ -282,10 +303,4 @@ def prefix_depth(term: Term) -> int:
     Prefix nesting counts 1 per binder; parallel operands run concurrently,
     so their bounds add.
     """
-    if isinstance(term, (Stop, Fail)):
-        return 0
-    if isinstance(term, Prefix):
-        return prefix_depth(term.body) + 1
-    if isinstance(term, Choice):
-        return max(prefix_depth(term.left), prefix_depth(term.right))
-    return prefix_depth(term.left) + prefix_depth(term.right)
+    return term._depth

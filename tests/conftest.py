@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the production code paths they check:
-doomed classification is re-derived by naive grammar matching, and the
-parallel trace operator by brute-force merging of trace pairs.  The
+doomed classification is re-derived by naive grammar matching, the other
+facts each node stores (free variables, prefix depth, size) by recursive
+walks, and the parallel trace operator by brute-force merging of trace
+pairs.  The
 ``source_mutant`` fixture builds mutants for mutation testing by editing
 the source of a shipped function, so the package itself carries no
 mutation switches.
@@ -17,7 +19,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from cspmon.terms import Choice, Fail, Parallel, Term
+from cspmon.terms import (
+    Choice,
+    EventVar,
+    Fail,
+    FullAlphabet,
+    Literal,
+    Parallel,
+    Prefix,
+    Stop,
+    Term,
+)
 from cspmon.traces import EPSILON, Trace
 
 
@@ -84,6 +96,39 @@ def doomed_by_grammar(term: Term) -> bool:
     if isinstance(term, Parallel):
         return doomed_by_grammar(term.left) or doomed_by_grammar(term.right)
     return False
+
+
+def free_vars_by_walk(node) -> frozenset[EventVar]:
+    """Free variables of a term or set expression, by structural recursion."""
+    if isinstance(node, Literal):
+        return frozenset(p for p in node.params if isinstance(p, EventVar))
+    if isinstance(node, (FullAlphabet, Stop, Fail)):
+        return frozenset()
+    if isinstance(node, Prefix):
+        return free_vars_by_walk(node.events) | (free_vars_by_walk(node.body) - {node.var})
+    out = free_vars_by_walk(node.left) | free_vars_by_walk(node.right)
+    if isinstance(node, Parallel):
+        out |= free_vars_by_walk(node.sync)
+    return out
+
+
+def prefix_depth_by_walk(term: Term) -> int:
+    """Binder nesting; parallel operands add, choice takes the larger side."""
+    if isinstance(term, (Stop, Fail)):
+        return 0
+    if isinstance(term, Prefix):
+        return prefix_depth_by_walk(term.body) + 1
+    left, right = prefix_depth_by_walk(term.left), prefix_depth_by_walk(term.right)
+    return max(left, right) if isinstance(term, Choice) else left + right
+
+
+def term_size_by_walk(term: Term) -> int:
+    """Constructor count, set expressions excluded."""
+    if isinstance(term, (Stop, Fail)):
+        return 1
+    if isinstance(term, Prefix):
+        return term_size_by_walk(term.body) + 1
+    return term_size_by_walk(term.left) + term_size_by_walk(term.right) + 1
 
 
 def merges(s: Trace, t: Trace, sync: frozenset[str]) -> frozenset[Trace]:

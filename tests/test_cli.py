@@ -280,6 +280,16 @@ class TestUsageErrors:
         assert out == ""
         assert err == f"error: event {name!r} is not in the declared alphabet\n"
 
+    def test_step_dot_rejects_a_trace(self, spec_file, capsys):
+        spec = spec_file("alphabet {a,b} process ?x:{a} -> ?y:{b} -> STOP")
+        assert main(["step", spec, "--trace", "a", "--dot"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: --dot draws the transition system from the root; "
+            "it cannot be combined with --trace\n"
+        )
+
     def test_non_utf8_spec_names_the_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.cspmon"
         spec.write_bytes(b"alphabet {a} process \xff")
@@ -368,9 +378,11 @@ class TestResourceErrors:
         assert "Traceback" not in err
 
     def test_deep_chain_under_monitor(self, spec_file, events_file, capsys):
-        spec = spec_file("alphabet {a} process " + "?x:{a} -> " * 5000 + "STOP")
-        assert main(["monitor", spec, "--events", events_file(["a"])]) == 2
-        self._assert_one_error_line(capsys)
+        # Parsed in a loop, with stored facts: no recursion, no error.
+        for depth in (5_000, 10_000):
+            spec = spec_file("alphabet {a} process " + "?x:{a} -> " * depth + "STOP")
+            assert main(["monitor", spec, "--events", events_file(["a"])]) == 0
+            assert capsys.readouterr() == ("1 a RUNNING\n", "")
 
     def test_wide_parallel_under_traces(self, spec_file, capsys):
         spec = spec_file("alphabet {a} process " + " |[{}]| ".join(["STOP"] * 5000))

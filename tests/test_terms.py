@@ -25,12 +25,19 @@ from cspmon.terms import (
     Stop,
     eval_event_set,
     free_vars,
+    is_closed,
     is_doomed,
     literal,
+    prefix_depth,
     substitute,
     term_size,
 )
-from conftest import doomed_by_grammar
+from conftest import (
+    doomed_by_grammar,
+    free_vars_by_walk,
+    prefix_depth_by_walk,
+    term_size_by_walk,
+)
 
 A, B = Event("a"), Event("b")
 X, Y, Z = EventVar("x"), EventVar("y"), EventVar("z")
@@ -50,6 +57,39 @@ EVERY_CONSTRUCTOR = [
     Choice(STOP, FAIL),
     Parallel(STOP, literal("b"), FAIL),
 ]
+
+DEEP = 10_000
+
+
+def _deep_chain():
+    # ?x:{a} -> ... -> STOP, DEEP binders.
+    term = STOP
+    for _ in range(DEEP):
+        term = Prefix(X, literal("a"), term)
+    return term
+
+
+def _wide_parallel():
+    # FAIL |[{a}]| ?x:{a} -> STOP |[{a}]| ..., DEEP operators, left-nested.
+    term = FAIL
+    for _ in range(DEEP):
+        term = Parallel(term, literal("a"), Prefix(X, literal("a"), STOP))
+    return term
+
+
+@pytest.fixture(scope="module")
+def corpus_nodes():
+    """``(terms, sets)``: every subterm and set expression of 1,000 generated
+    terms, the open bodies under binders included."""
+    terms, sets = set(), set()
+    stack = list(gen_terms(GenConfig(max_size=12, alphabet=frozenset("abc"), seed=11), 1000))
+    while stack:
+        node = stack.pop()
+        (terms if isinstance(node, (Stop, Fail, Prefix, Choice, Parallel)) else sets).add(node)
+        for field in ("events", "body", "left", "sync", "right"):
+            if hasattr(node, field):
+                stack.append(getattr(node, field))
+    return terms, sets
 
 
 class TestInterning:
@@ -86,6 +126,19 @@ class TestInterning:
         assert {term: 1}[term] == 1
         assert hash(term) == hash((X, literal("a"), term.body))
 
+    @pytest.mark.parametrize(
+        "build, doomed, depth, size",
+        [(_deep_chain, False, DEEP, DEEP + 1), (_wide_parallel, True, DEEP, 3 * DEEP + 1)],
+        ids=["deep", "wide"],
+    )
+    def test_facts_of_large_terms_without_recursion(self, build, doomed, depth, size):
+        term = build()
+        assert is_doomed(term) is doomed
+        assert prefix_depth(term) == depth
+        assert term_size(term) == size
+        assert free_vars(term) == frozenset() and is_closed(term)
+        assert not is_closed(Prefix(Y, Literal((Z,)), term))
+
 
 class TestSubstitute:
     def test_replaces_in_literal(self):
@@ -105,6 +158,12 @@ class TestSubstitute:
     def test_substitutes_parallel_sync_set(self):
         term = Parallel(STOP, Literal((X,)), STOP)
         assert substitute(A, X, term) == Parallel(STOP, Literal((A,)), STOP)
+
+    def test_closed_deep_chain_is_returned_as_is(self):
+        # x is the chain's own binder; y occurs nowhere in it.
+        chain = _deep_chain()
+        assert substitute(A, X, chain) is chain
+        assert substitute(A, Y, chain) is chain
 
     def test_size_preserved_on_random_terms(self, abc):
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=7), 200):
@@ -148,9 +207,7 @@ class TestEvalEventSet:
 
 
 def _has_vars(expr):
-    from cspmon.terms import _set_free_vars
-
-    return bool(_set_free_vars(expr))
+    return bool(free_vars(expr))
 
 
 class TestIsDoomed:
@@ -171,6 +228,13 @@ class TestIsDoomed:
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=11), 1000):
             assert is_doomed(term) == doomed_by_grammar(term)
 
+    @pytest.mark.parametrize("open_", [False, True], ids=["closed", "open"])
+    def test_every_subterm_agrees_with_grammar_oracle(self, open_, corpus_nodes):
+        terms = [t for t in corpus_nodes[0] if bool(free_vars(t)) is open_]
+        assert terms
+        for term in terms:
+            assert is_doomed(term) == doomed_by_grammar(term), term
+
 
 class TestTermSize:
     def test_leaves(self):
@@ -185,6 +249,15 @@ class TestTermSize:
         term = Parallel(FAIL, literal("a"), Choice(STOP, STOP))
         assert term_size(term) == 5
 
+    @pytest.mark.parametrize(
+        "reader, oracle",
+        [(term_size, term_size_by_walk), (prefix_depth, prefix_depth_by_walk)],
+        ids=["term_size", "prefix_depth"],
+    )
+    def test_every_subterm_agrees_with_walk_oracle(self, reader, oracle, corpus_nodes):
+        for term in corpus_nodes[0]:
+            assert reader(term) == oracle(term), term
+
 
 class TestFreeVars:
     def test_generated_terms_are_closed(self, abc):
@@ -193,3 +266,12 @@ class TestFreeVars:
 
     def test_open_term(self):
         assert free_vars(Prefix(Y, Literal((X,)), STOP)) == {X}
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["term", "set"])
+    def test_every_node_agrees_with_walk_oracle(self, kind, corpus_nodes):
+        nodes = corpus_nodes[kind]
+        assert any(free_vars(n) for n in nodes)
+        for node in nodes:
+            assert free_vars(node) == free_vars_by_walk(node), node
+            if kind == 0:
+                assert is_closed(node) == (not free_vars_by_walk(node))
