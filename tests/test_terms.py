@@ -224,14 +224,9 @@ class TestIsDoomed:
         assert not is_doomed(Choice(FAIL, STOP))
         assert is_doomed(Choice(FAIL, FAIL))
 
-    def test_agrees_with_grammar_oracle(self, abc):
-        for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=11), 1000):
-            assert is_doomed(term) == doomed_by_grammar(term)
-
-    @pytest.mark.parametrize("open_", [False, True], ids=["closed", "open"])
-    def test_every_subterm_agrees_with_grammar_oracle(self, open_, corpus_nodes):
-        terms = [t for t in corpus_nodes[0] if bool(free_vars(t)) is open_]
-        assert terms
+    def test_agrees_with_grammar_oracle(self, corpus_nodes):
+        terms = corpus_nodes[0]
+        assert any(is_closed(t) for t in terms) and not all(is_closed(t) for t in terms)
         for term in terms:
             assert is_doomed(term) == doomed_by_grammar(term), term
 
