@@ -100,6 +100,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        # How many enclosing binders bind each variable name.
+        self.bound: dict[str, int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -124,8 +126,8 @@ class _Parser:
         return self.next()
 
     # Terms are parsed with raw identifiers and resolved against the
-    # alphabet and binder scope on the fly; ``scope`` is the tuple of
-    # variable names bound by enclosing prefixes.
+    # alphabet and ``bound`` on the fly.  ``parse_atom`` binds the names of
+    # its run of binders and unbinds them when the atom ends.
 
     def parse_spec(self) -> SpecFile:
         self.expect("alphabet")
@@ -137,29 +139,29 @@ class _Parser:
         self.expect("}")
         alphabet = frozenset(names)
         self.expect("process")
-        root = self.parse_term(alphabet, ())
+        root = self.parse_term(alphabet)
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
         return SpecFile(alphabet, root)
 
-    def parse_term(self, alphabet, scope) -> Term:
-        term = self.parse_par(alphabet, scope)
+    def parse_term(self, alphabet) -> Term:
+        term = self.parse_par(alphabet)
         while self.peek().text == "[]":
             self.next()
-            term = Choice(term, self.parse_par(alphabet, scope))
+            term = Choice(term, self.parse_par(alphabet))
         return term
 
-    def parse_par(self, alphabet, scope) -> Term:
-        term = self.parse_atom(alphabet, scope)
+    def parse_par(self, alphabet) -> Term:
+        term = self.parse_atom(alphabet)
         while self.peek().text == "|[":
             self.next()
-            sync = self.parse_setexpr(alphabet, scope)
+            sync = self.parse_setexpr(alphabet)
             self.expect("]|")
-            term = Parallel(term, sync, self.parse_atom(alphabet, scope))
+            term = Parallel(term, sync, self.parse_atom(alphabet))
         return term
 
-    def parse_atom(self, alphabet, scope) -> Term:
+    def parse_atom(self, alphabet) -> Term:
         binders = []
         while self.peek().text == "?":
             self.next()
@@ -171,31 +173,31 @@ class _Parser:
                     var_tok.column,
                 )
             self.expect(":")
-            events = self.parse_setexpr(alphabet, scope)
+            events = self.parse_setexpr(alphabet)
             self.expect("->")
             binders.append((EventVar(var_tok.text), events))
-            if var_tok.text not in scope:
-                scope += (var_tok.text,)
+            self.bound[var_tok.text] = self.bound.get(var_tok.text, 0) + 1
         tok = self.next()
         if tok.text == "STOP":
             term = Stop()
         elif tok.text == "FAIL":
             term = Fail()
         elif tok.text == "(":
-            term = self.parse_term(alphabet, scope)
+            term = self.parse_term(alphabet)
             self.expect(")")
         else:
             shown = tok.text or "end of input"
             raise ParseError(f"expected a process term, found {shown!r}", tok.line, tok.column)
         for var, events in reversed(binders):
             term = Prefix(var, events, term)
+            self.bound[var.name] -= 1
         return term
 
-    def parse_setexpr(self, alphabet, scope) -> EventSetExpr:
-        expr = self.parse_setterm(alphabet, scope)
+    def parse_setexpr(self, alphabet) -> EventSetExpr:
+        expr = self.parse_setterm(alphabet)
         while self.peek().text in ("u", "n", "\\"):
             op = self.next().text
-            rhs = self.parse_setterm(alphabet, scope)
+            rhs = self.parse_setterm(alphabet)
             if op == "u":
                 expr = SetUnion(expr, rhs)
             elif op == "n":
@@ -204,14 +206,14 @@ class _Parser:
                 expr = SetDifference(expr, rhs)
         return expr
 
-    def parse_setterm(self, alphabet, scope) -> EventSetExpr:
+    def parse_setterm(self, alphabet) -> EventSetExpr:
         tok = self.peek()
         if tok.text == "Sigma":
             self.next()
             return FullAlphabet()
         if tok.text == "(":
             self.next()
-            expr = self.parse_setexpr(alphabet, scope)
+            expr = self.parse_setexpr(alphabet)
             self.expect(")")
             return expr
         if tok.text == "{":
@@ -219,10 +221,10 @@ class _Parser:
             if self.peek().text == "}":
                 self.next()
                 return Literal(())
-            params = [self.parse_param(alphabet, scope)]
+            params = [self.parse_param(alphabet)]
             while self.peek().text == ",":
                 self.next()
-                params.append(self.parse_param(alphabet, scope))
+                params.append(self.parse_param(alphabet))
             self.expect("}")
             return Literal(tuple(params))
         shown = tok.text or "end of input"
@@ -230,9 +232,9 @@ class _Parser:
             f"expected an event set, found {shown!r}", tok.line, tok.column
         )
 
-    def parse_param(self, alphabet, scope):
+    def parse_param(self, alphabet):
         tok = self.expect_ident("event or variable")
-        if tok.text in scope:
+        if self.bound.get(tok.text):
             return EventVar(tok.text)
         if tok.text in alphabet:
             return Event(tok.text)
@@ -247,7 +249,7 @@ def parse_spec(text: str) -> SpecFile:
 def parse_term(text: str, alphabet: frozenset[str]) -> Term:
     """Parse a bare closed term against an already-known alphabet."""
     parser = _Parser(text)
-    term = parser.parse_term(alphabet, ())
+    term = parser.parse_term(alphabet)
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)

@@ -5,11 +5,19 @@ trace set is just that finite set: the term language has no recursion, so
 every term has finitely many traces, none longer than its ``prefix_depth``.
 A depth appears only where a set is truncated: ``semantics`` keeps the
 traces of length <= ``depth``, and ``parcomp`` stops merging at ``depth``.
+
+``semantics`` is memoized on its exact arguments.  Terms are interned, so a
+lookup hashes and compares the node in O(1), and a hit returns without
+recursing.  Unlike the ``sos`` caches the memo is bounded
+(``SEMANTICS_MEMO_SIZE`` entries, least recently used first out): the
+repeats it serves come from the checks of one term, which evaluate the same
+subterms at the same depths again and again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .terms import (
     Choice,
@@ -26,6 +34,8 @@ from .terms import (
 Trace = tuple[str, ...]
 
 EPSILON: Trace = ()
+
+SEMANTICS_MEMO_SIZE = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ def _parcomp(s1, sync, s2, alphabet, budget, memo):
     return result
 
 
+@lru_cache(maxsize=SEMANTICS_MEMO_SIZE)
 def semantics(term: Term, depth: int, alphabet: frozenset[str]) -> TraceSet:
     """The traces of length <= ``depth`` of a closed term.
 

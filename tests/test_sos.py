@@ -2,7 +2,7 @@
 
 import pytest
 
-from cspmon import sos
+from cspmon import sos, traces
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OpenTermError
 from cspmon.sos import (
@@ -205,3 +205,14 @@ class TestSourceMutant:
             inside = actions_and_targets(internal_successors(term, ab))
         assert ("a", Parallel(FAIL, EMPTY, STOP)) in inside
         assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
+
+    def test_semantics_memo_does_not_serve_stock_results(self, ab, source_mutant):
+        # The stock operator lets the empty operand empty the result; the
+        # mutant does not.  The block must see the mutant's set, not the
+        # memoized stock one, and the stock set again after it.
+        term = Parallel(STOP, EMPTY, FAIL)
+        assert traces.semantics(term, 1, ab).traces == frozenset()
+        with source_mutant(traces, "_parcomp", ("if not s1 or not s2:", "if False:")):
+            inside = traces.semantics(term, 1, ab).traces
+        assert inside
+        assert traces.semantics(term, 1, ab).traces == frozenset()

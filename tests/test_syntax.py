@@ -16,6 +16,7 @@ from cspmon.terms import (
     Prefix,
     STOP,
     SetDifference,
+    prefix_depth,
 )
 
 X = EventVar("x")
@@ -58,6 +59,23 @@ class TestParseSpec:
         body = spec.root.body
         assert body.events == Literal((X,))
 
+    def test_long_chain_of_distinct_binders(self):
+        # Each binder's set names the previous binder, so every name stays
+        # bound to the end of the chain; parsing is linear in its length.
+        n = 20_000
+        binders = " ".join(f"?x{i}:{{x{i - 1}}} ->" for i in range(1, n))
+        spec = parse_spec(f"alphabet {{a}} process ?x0:{{a}} -> {binders} STOP")
+        assert prefix_depth(spec.root) == n
+        last = spec.root
+        while last.body != STOP:
+            last = last.body
+        assert last.var == EventVar(f"x{n - 1}")
+        assert last.events == Literal((EventVar(f"x{n - 2}"),))
+
+    def test_shadowed_name_stays_bound_after_inner_atom(self):
+        spec = parse_spec("alphabet {a} process ?x:{a} -> ((?x:{x} -> STOP) [] ?y:{x} -> STOP)")
+        assert spec.root.body.right.events == Literal((X,))
+
 
 class TestParseErrors:
     def test_syntax_error_has_position(self):
@@ -75,6 +93,11 @@ class TestParseErrors:
         # y is not declared and not bound by the enclosing binder.
         with pytest.raises(UndeclaredEventError):
             parse_spec("alphabet {a} process ?x:{a} -> ?z:{y} -> STOP")
+
+    def test_name_goes_out_of_scope_after_parenthesis(self):
+        with pytest.raises(UndeclaredEventError) as exc:
+            parse_spec("alphabet {a} process (?x:{a} -> STOP) [] ?y:{x} -> STOP")
+        assert exc.value.name == "x"
 
     def test_binder_may_not_shadow_alphabet(self):
         with pytest.raises(ParseError):

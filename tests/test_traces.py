@@ -7,6 +7,7 @@ from cspmon.syntax import parse_term
 from cspmon.terms import FAIL, STOP, EventVar, Prefix, literal, prefix_depth
 from cspmon.traces import (
     EPSILON,
+    SEMANTICS_MEMO_SIZE,
     TraceSet,
     canonical_traces,
     derive,
@@ -113,6 +114,27 @@ class TestSemantics:
             assert empty0 == is_doomed(term)
             for k in (1, 3):
                 assert semantics(term, k, abc).is_empty() == empty0
+
+
+class TestSemanticsMemo:
+    def test_warm_and_cold_results_agree(self, abc):
+        calls = [
+            (term, k)
+            for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=24), 200)
+            for k in range(prefix_depth(term) + 2)
+        ]
+        random.Random(24).shuffle(calls)
+        warm = [semantics(term, k, abc).traces for term, k in calls]
+        for (term, k), got in zip(calls, warm):
+            semantics.cache_clear()
+            assert semantics(term, k, abc).traces == got
+
+    def test_memo_is_bounded(self, ab):
+        for k in range(SEMANTICS_MEMO_SIZE + 100):
+            semantics(STOP, k, ab)
+        info = semantics.cache_info()
+        assert info.maxsize == SEMANTICS_MEMO_SIZE
+        assert info.currsize <= SEMANTICS_MEMO_SIZE
 
 
 class TestDistributivity:
