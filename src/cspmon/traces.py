@@ -8,10 +8,10 @@ traces of length <= ``depth``, and ``parcomp`` stops merging at ``depth``.
 
 ``semantics`` is memoized on its exact arguments.  Terms are interned, so a
 lookup hashes and compares the node in O(1), and a hit returns without
-recursing.  Unlike the ``sos`` caches the memo is bounded
-(``SEMANTICS_MEMO_SIZE`` entries, least recently used first out): the
-repeats it serves come from the checks of one term, which evaluate the same
-subterms at the same depths again and again.
+recursing.  Unlike the ``sos`` caches the memo is bounded: it keeps the
+``SEMANTICS_MEMO_SIZE`` most recently used entries.  That suffices because
+most repeats come from the checks of one term, which evaluate the same
+subterms at the same depths again.
 """
 
 from __future__ import annotations
