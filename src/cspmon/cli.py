@@ -22,7 +22,7 @@ from . import conformance
 from .dot import to_dot
 from .errors import CspmonError, InputDecodeError, OutOfAlphabetError
 from .monitor import Verdict, feed, init_monitor
-from .sos import TAU, internal_successors, run
+from .sos import internal_successors, run
 from .syntax import SpecFile, parse_spec, print_term
 from .traces import canonical_traces, format_trace, parse_trace, semantics
 
@@ -102,13 +102,14 @@ def cmd_step(args) -> int:
         return 0
     states = run(spec.root, trace, spec.alphabet)
     for state in sorted(states, key=print_term):
-        print(f"state: {print_term(state)}")
-        for t in sorted(
-            internal_successors(state, spec.alphabet),
-            key=lambda t: (str(t.action), print_term(t.target)),
-        ):
-            label = "tau" if t.action is TAU else t.action
-            print(f"  {print_term(t.source)} --{label}--> {print_term(t.target)}")
+        source = print_term(state)
+        print(f"state: {source}")
+        steps = sorted(
+            (str(action), print_term(target))
+            for action, target in internal_successors(state, spec.alphabet)
+        )
+        for label, target in steps:
+            print(f"  {source} --{label}--> {target}")
     return 0
 
 

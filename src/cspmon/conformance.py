@@ -259,14 +259,14 @@ def _doomed_violation(term: Term, alphabet) -> Optional[str]:
             if not isinstance(current, Fail):
                 return f"maximal path ends at non-FAIL term {print_term(current)}"
             continue
-        for t in succs:
-            if t.action is not TAU:
-                return f"visible action {t.action} from doomed {print_term(current)}"
-            if not is_doomed(t.target):
-                return f"viable successor {print_term(t.target)}"
-            if term_size(t.target) >= term_size(current):
-                return f"size did not shrink: {print_term(current)} -> {print_term(t.target)}"
-            stack.append(t.target)
+        for action, target in succs:
+            if action is not TAU:
+                return f"visible action {action} from doomed {print_term(current)}"
+            if not is_doomed(target):
+                return f"viable successor {print_term(target)}"
+            if term_size(target) >= term_size(current):
+                return f"size did not shrink: {print_term(current)} -> {print_term(target)}"
+            stack.append(target)
     return None
 
 

@@ -15,12 +15,12 @@ def to_dot(term: Term, alphabet: frozenset[str]) -> str:
     """One node per reachable term, one edge per transition; tau edges dashed."""
     lines = ["digraph lts {"]
     lines.append(f"  {_quote(print_term(term))} [shape=box];")
-    for t in reachable_transitions(term, alphabet):
-        src = _quote(print_term(t.source))
-        dst = _quote(print_term(t.target))
-        if t.action is TAU:
+    for source, action, target in reachable_transitions(term, alphabet):
+        src = _quote(print_term(source))
+        dst = _quote(print_term(target))
+        if action is TAU:
             lines.append(f"  {src} -> {dst} [label=\"tau\", style=dashed];")
         else:
-            lines.append(f"  {src} -> {dst} [label={_quote(t.action)}];")
+            lines.append(f"  {src} -> {dst} [label={_quote(action)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """Small-step transition engine for process terms.
 
-Internal transitions carry either a visible event or the silent action tau.
+The step relation is labelled, ``P --a--> P'`` (Plotkin's structural
+operational semantics): a transition of a term is an ``(action, target)``
+pair, whose action is a visible event or the silent action tau.
 Failure propagation is forced by viability side-conditions: in a parallel
 composition, a component may act on its own only while the other side is
 viable, so once a side is doomed the only applicable rules are the ones
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import OpenTermError
 from .terms import (
@@ -46,15 +47,13 @@ class Tau:
 TAU = Tau()
 
 
-class Transition(NamedTuple):
-    source: Term
-    action: "str | Tau"
-    target: Term
+# A step of a term: the action it emits and the term it becomes.
+Transition = tuple["str | Tau", Term]
 
 
 @lru_cache(maxsize=None)
 def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Transition]:
-    """All one-step transitions of a closed term, deduplicated."""
+    """All one-step ``(action, target)`` pairs of a closed term, deduplicated."""
     if not is_closed(term):
         raise OpenTermError(f"term has free variables: {term!r}")
     return frozenset(_successors(term, alphabet))
@@ -62,27 +61,21 @@ def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Trans
 
 def _successors(term: Term, alphabet):
     # A component's steps come from the cache: residuals that share a
-    # component compute its steps once.
+    # component compute its steps once.  TAU is in no sync set.
     out = []
     if isinstance(term, (Stop, Fail)):
         return out
     if isinstance(term, Prefix):
         for e in sorted(eval_event_set(term.events, alphabet)):
-            out.append(Transition(term, e, substitute(Event(e), term.var, term.body)))
+            out.append((e, substitute(Event(e), term.var, term.body)))
         return out
     if isinstance(term, Choice):
-        for t in internal_successors(term.left, alphabet):
-            if t.action is TAU:
-                out.append(Transition(term, TAU, Choice(t.target, term.right)))
-            else:
-                out.append(Transition(term, t.action, t.target))
-        for t in internal_successors(term.right, alphabet):
-            if t.action is TAU:
-                out.append(Transition(term, TAU, Choice(term.left, t.target)))
-            else:
-                out.append(Transition(term, t.action, t.target))
+        for a, t in internal_successors(term.left, alphabet):
+            out.append((a, Choice(t, term.right) if a is TAU else t))
+        for a, t in internal_successors(term.right, alphabet):
+            out.append((a, Choice(term.left, t) if a is TAU else t))
         if term.left is FAIL and term.right is FAIL:
-            out.append(Transition(term, TAU, FAIL))
+            out.append((TAU, FAIL))
         return out
     assert isinstance(term, Parallel)
     sync = eval_event_set(term.sync, alphabet)
@@ -93,46 +86,33 @@ def _successors(term: Term, alphabet):
     # Independent progress outside the sync set, gated on the sibling's
     # viability.
     if not right_doomed:
-        for t in left_steps:
-            if t.action is TAU or t.action not in sync:
-                out.append(
-                    Transition(term, t.action, Parallel(t.target, term.sync, term.right))
-                )
+        for a, t in left_steps:
+            if a not in sync:
+                out.append((a, Parallel(t, term.sync, term.right)))
     if not left_doomed:
-        for t in right_steps:
-            if t.action is TAU or t.action not in sync:
-                out.append(
-                    Transition(term, t.action, Parallel(term.left, term.sync, t.target))
-                )
+        for a, t in right_steps:
+            if a not in sync:
+                out.append((a, Parallel(term.left, term.sync, t)))
     # Synchronized step: both sides viable, both emit the same sync event.
     if not left_doomed and not right_doomed:
-        for tl in left_steps:
-            if tl.action is TAU or tl.action not in sync:
-                continue
-            for tr in right_steps:
-                if tr.action == tl.action:
-                    out.append(
-                        Transition(
-                            term, tl.action, Parallel(tl.target, term.sync, tr.target)
-                        )
-                    )
+        for a, left in left_steps:
+            if a in sync:
+                for b, right in right_steps:
+                    if b == a:
+                        out.append((a, Parallel(left, term.sync, right)))
     # Both sides doomed: either may keep propagating internally.
     if left_doomed and right_doomed:
-        for t in left_steps:
-            if t.action is TAU:
-                out.append(
-                    Transition(term, TAU, Parallel(t.target, term.sync, term.right))
-                )
-        for t in right_steps:
-            if t.action is TAU:
-                out.append(
-                    Transition(term, TAU, Parallel(term.left, term.sync, t.target))
-                )
+        for a, t in left_steps:
+            if a is TAU:
+                out.append((TAU, Parallel(t, term.sync, term.right)))
+        for a, t in right_steps:
+            if a is TAU:
+                out.append((TAU, Parallel(term.left, term.sync, t)))
     # FAIL absorbs the whole composition.
     if term.left is FAIL:
-        out.append(Transition(term, TAU, FAIL))
+        out.append((TAU, FAIL))
     if term.right is FAIL:
-        out.append(Transition(term, TAU, FAIL))
+        out.append((TAU, FAIL))
     return out
 
 
@@ -146,10 +126,10 @@ def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
     frontier = [term]
     while frontier:
         current = frontier.pop()
-        for t in internal_successors(current, alphabet):
-            if t.action is TAU and t.target not in seen:
-                seen.add(t.target)
-                frontier.append(t.target)
+        for a, t in internal_successors(current, alphabet):
+            if a is TAU and t not in seen:
+                seen.add(t)
+                frontier.append(t)
     return frozenset(seen)
 
 
@@ -164,9 +144,9 @@ def visible_successors(
     """
     out = set()
     for pre in tau_closure(term, alphabet):
-        for t in internal_successors(pre, alphabet):
-            if t.action == event:
-                out |= tau_closure(t.target, alphabet)
+        for a, t in internal_successors(pre, alphabet):
+            if a == event:
+                out |= tau_closure(t, alphabet)
     return frozenset(out)
 
 
@@ -190,18 +170,16 @@ def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
 
 def reachable_transitions(
     term: Term, alphabet: frozenset[str]
-) -> list[Transition]:
-    """Every transition reachable from ``term``, in BFS discovery order."""
+) -> list[tuple[Term, "str | Tau", Term]]:
+    """Every ``(source, action, target)`` reachable from ``term``, in BFS order."""
     seen = {term}
     queue = deque([term])
     out = []
     while queue:
-        current = queue.popleft()
-        for t in sorted(
-            internal_successors(current, alphabet), key=lambda t: repr(t)
-        ):
-            out.append(t)
-            if t.target not in seen:
-                seen.add(t.target)
-                queue.append(t.target)
+        source = queue.popleft()
+        for action, target in sorted(internal_successors(source, alphabet), key=repr):
+            out.append((source, action, target))
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
     return out

@@ -100,6 +100,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        # The declared events: read by ``parse_spec``, given to ``parse_term``.
+        self.alphabet: frozenset[str] = frozenset()
         # How many enclosing binders bind each variable name.
         self.bound: dict[str, int] = {}
 
@@ -125,9 +127,9 @@ class _Parser:
             raise ParseError(f"expected {what}, found {shown!r}", tok.line, tok.column)
         return self.next()
 
-    # Terms are parsed with raw identifiers and resolved against the
-    # alphabet and ``bound`` on the fly.  ``parse_atom`` binds the names of
-    # its run of binders and unbinds them when the atom ends.
+    # Terms are parsed with raw identifiers and resolved against ``alphabet``
+    # and ``bound`` on the fly.  ``parse_atom`` binds the names of its run of
+    # binders and unbinds them when the atom ends.
 
     def parse_spec(self) -> SpecFile:
         self.expect("alphabet")
@@ -137,43 +139,43 @@ class _Parser:
             self.next()
             names.append(self.expect_ident("event name").text)
         self.expect("}")
-        alphabet = frozenset(names)
+        self.alphabet = frozenset(names)
         self.expect("process")
-        root = self.parse_term(alphabet)
+        root = self.parse_term()
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
-        return SpecFile(alphabet, root)
+        return SpecFile(self.alphabet, root)
 
-    def parse_term(self, alphabet) -> Term:
-        term = self.parse_par(alphabet)
+    def parse_term(self) -> Term:
+        term = self.parse_par()
         while self.peek().text == "[]":
             self.next()
-            term = Choice(term, self.parse_par(alphabet))
+            term = Choice(term, self.parse_par())
         return term
 
-    def parse_par(self, alphabet) -> Term:
-        term = self.parse_atom(alphabet)
+    def parse_par(self) -> Term:
+        term = self.parse_atom()
         while self.peek().text == "|[":
             self.next()
-            sync = self.parse_setexpr(alphabet)
+            sync = self.parse_setexpr()
             self.expect("]|")
-            term = Parallel(term, sync, self.parse_atom(alphabet))
+            term = Parallel(term, sync, self.parse_atom())
         return term
 
-    def parse_atom(self, alphabet) -> Term:
+    def parse_atom(self) -> Term:
         binders = []
         while self.peek().text == "?":
             self.next()
             var_tok = self.expect_ident("binder variable")
-            if var_tok.text in alphabet:
+            if var_tok.text in self.alphabet:
                 raise ParseError(
                     f"binder {var_tok.text!r} collides with an alphabet symbol",
                     var_tok.line,
                     var_tok.column,
                 )
             self.expect(":")
-            events = self.parse_setexpr(alphabet)
+            events = self.parse_setexpr()
             self.expect("->")
             binders.append((EventVar(var_tok.text), events))
             self.bound[var_tok.text] = self.bound.get(var_tok.text, 0) + 1
@@ -183,7 +185,7 @@ class _Parser:
         elif tok.text == "FAIL":
             term = Fail()
         elif tok.text == "(":
-            term = self.parse_term(alphabet)
+            term = self.parse_term()
             self.expect(")")
         else:
             shown = tok.text or "end of input"
@@ -193,11 +195,11 @@ class _Parser:
             self.bound[var.name] -= 1
         return term
 
-    def parse_setexpr(self, alphabet) -> EventSetExpr:
-        expr = self.parse_setterm(alphabet)
+    def parse_setexpr(self) -> EventSetExpr:
+        expr = self.parse_setterm()
         while self.peek().text in ("u", "n", "\\"):
             op = self.next().text
-            rhs = self.parse_setterm(alphabet)
+            rhs = self.parse_setterm()
             if op == "u":
                 expr = SetUnion(expr, rhs)
             elif op == "n":
@@ -206,14 +208,14 @@ class _Parser:
                 expr = SetDifference(expr, rhs)
         return expr
 
-    def parse_setterm(self, alphabet) -> EventSetExpr:
+    def parse_setterm(self) -> EventSetExpr:
         tok = self.peek()
         if tok.text == "Sigma":
             self.next()
             return FullAlphabet()
         if tok.text == "(":
             self.next()
-            expr = self.parse_setexpr(alphabet)
+            expr = self.parse_setexpr()
             self.expect(")")
             return expr
         if tok.text == "{":
@@ -221,10 +223,10 @@ class _Parser:
             if self.peek().text == "}":
                 self.next()
                 return Literal(())
-            params = [self.parse_param(alphabet)]
+            params = [self.parse_param()]
             while self.peek().text == ",":
                 self.next()
-                params.append(self.parse_param(alphabet))
+                params.append(self.parse_param())
             self.expect("}")
             return Literal(tuple(params))
         shown = tok.text or "end of input"
@@ -232,11 +234,11 @@ class _Parser:
             f"expected an event set, found {shown!r}", tok.line, tok.column
         )
 
-    def parse_param(self, alphabet):
+    def parse_param(self):
         tok = self.expect_ident("event or variable")
         if self.bound.get(tok.text):
             return EventVar(tok.text)
-        if tok.text in alphabet:
+        if tok.text in self.alphabet:
             return Event(tok.text)
         raise UndeclaredEventError(tok.text, tok.line, tok.column)
 
@@ -249,7 +251,8 @@ def parse_spec(text: str) -> SpecFile:
 def parse_term(text: str, alphabet: frozenset[str]) -> Term:
     """Parse a bare closed term against an already-known alphabet."""
     parser = _Parser(text)
-    term = parser.parse_term(alphabet)
+    parser.alphabet = alphabet
+    term = parser.parse_term()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
@@ -272,8 +275,13 @@ def _fmt(term: Term, level: int) -> str:
     if isinstance(term, Fail):
         return "FAIL"
     if isinstance(term, Prefix):
-        # A prefix is itself an atom; only its body may need parentheses.
-        return f"?{term.var.name}:{print_set(term.events)} -> {_fmt(term.body, _ATOM)}"
+        # A prefix is itself an atom; only the body of its binder run may
+        # need parentheses.  The run is printed in a loop, as it is parsed.
+        heads = []
+        while isinstance(term, Prefix):
+            heads.append(f"?{term.var.name}:{print_set(term.events)} -> ")
+            term = term.body
+        return "".join(heads) + _fmt(term, _ATOM)
     if isinstance(term, Choice):
         text = f"{_fmt(term.left, _CHOICE)} [] {_fmt(term.right, _PAR)}"
         return f"({text})" if level > _CHOICE else text

@@ -259,13 +259,24 @@ def substitute(e: Event, x: EventVar, term: Term) -> Term:
     """
     if x not in term._free:
         return term
-    if isinstance(term, Prefix):
-        body = term.body if term.var == x else substitute(e, x, term.body)
-        return Prefix(term.var, _subst_set(e, x, term.events), body)
     if isinstance(term, Choice):
         return Choice(substitute(e, x, term.left), substitute(e, x, term.right))
-    return Parallel(substitute(e, x, term.left), _subst_set(e, x, term.sync),
-                    substitute(e, x, term.right))
+    if isinstance(term, Parallel):
+        return Parallel(substitute(e, x, term.left), _subst_set(e, x, term.sync),
+                        substitute(e, x, term.right))
+    # A run of binders is walked in a loop, as the parser reads it, and
+    # rebuilt bottom-up, so a long chain takes no stack frame per binder.
+    binders = []
+    while isinstance(term, Prefix) and term.var != x and x in term._free:
+        binders.append(term)
+        term = term.body
+    if isinstance(term, Prefix) and term.var == x:
+        term = Prefix(x, _subst_set(e, x, term.events), term.body)
+    else:
+        term = substitute(e, x, term)
+    for binder in reversed(binders):
+        term = Prefix(binder.var, _subst_set(e, x, binder.events), term)
+    return term
 
 
 def is_doomed(term: Term) -> bool:

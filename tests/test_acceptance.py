@@ -192,14 +192,14 @@ def _doomed_paths_ok(term) -> bool:
         succs = internal_successors(current, ALPHABET)
         if not succs and not isinstance(current, Fail):
             return False
-        for t in succs:
-            if t.action is not TAU:
+        for action, target in succs:
+            if action is not TAU:
                 return False
-            if not is_doomed(t.target):
+            if not is_doomed(target):
                 return False
-            if term_size(t.target) >= term_size(t.source):
+            if term_size(target) >= term_size(current):
                 return False
-            stack.append(t.target)
+            stack.append(target)
     return True
 
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import cspmon
+from cspmon import sos
 from cspmon.cli import main
 from test_acceptance import MUTANTS
 
@@ -126,6 +127,45 @@ class TestStepCommand:
         spec = spec_file("alphabet {a} process FAIL |[{}]| STOP")
         main(["step", spec])
         assert "--tau--> FAIL" in capsys.readouterr().out
+
+    # Both operands doomed: either side keeps propagating on its own (the two
+    # both-doomed rules), and a bare FAIL operand absorbs the composition.
+    BOTH_DOOMED = "alphabet {a} process (FAIL [] FAIL) |[{}]| (FAIL [] FAIL)"
+    BOTH_DOOMED_STEPS = """\
+state: (FAIL [] FAIL) |[{}]| (FAIL [] FAIL)
+  (FAIL [] FAIL) |[{}]| (FAIL [] FAIL) --tau--> (FAIL [] FAIL) |[{}]| FAIL
+  (FAIL [] FAIL) |[{}]| (FAIL [] FAIL) --tau--> FAIL |[{}]| (FAIL [] FAIL)
+state: (FAIL [] FAIL) |[{}]| FAIL
+  (FAIL [] FAIL) |[{}]| FAIL --tau--> FAIL
+  (FAIL [] FAIL) |[{}]| FAIL --tau--> FAIL |[{}]| FAIL
+state: FAIL
+state: FAIL |[{}]| (FAIL [] FAIL)
+  FAIL |[{}]| (FAIL [] FAIL) --tau--> FAIL
+  FAIL |[{}]| (FAIL [] FAIL) --tau--> FAIL |[{}]| FAIL
+state: FAIL |[{}]| FAIL
+  FAIL |[{}]| FAIL --tau--> FAIL
+"""
+
+    def test_both_doomed_parallel(self, spec_file, capsys):
+        assert main(["step", spec_file(self.BOTH_DOOMED)]) == 0
+        assert capsys.readouterr().out == self.BOTH_DOOMED_STEPS
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            "out.append((TAU, Parallel(t, term.sync, term.right)))",
+            "out.append((TAU, Parallel(term.left, term.sync, t)))",
+        ],
+        ids=["left", "right"],
+    )
+    def test_both_doomed_rules_change_the_listing(
+        self, rule, spec_file, source_mutant, capsys
+    ):
+        # Neither rule moves a trace set or breaks doomed normalization, so
+        # only the listing shows a deleted one.
+        with source_mutant(sos, "_successors", (rule, "pass")):
+            assert main(["step", spec_file(self.BOTH_DOOMED)]) == 0
+        assert capsys.readouterr().out != self.BOTH_DOOMED_STEPS
 
 
 class TestCheckCommand:
@@ -383,6 +423,26 @@ class TestResourceErrors:
             spec = spec_file("alphabet {a} process " + "?x:{a} -> " * depth + "STOP")
             assert main(["monitor", spec, "--events", events_file(["a"])]) == 0
             assert capsys.readouterr() == ("1 a RUNNING\n", "")
+
+    def test_deep_chain_under_step(self, spec_file, capsys):
+        # A binder run is printed in a loop.
+        spec = spec_file("alphabet {a} process " + "?x:{a} -> " * 10_000 + "STOP")
+        assert main(["step", spec]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 2
+
+    def test_variable_free_under_a_long_binder_run(self, spec_file, events_file, capsys):
+        # Stepping the root substitutes x under 3,000 ?y binders, in a loop.
+        spec = spec_file(
+            "alphabet {a} process ?x:{a} -> " + "?y:{a} -> " * 3000 + "?z:{x} -> STOP"
+        )
+        assert main(["monitor", spec, "--events", events_file([])]) == 0
+        assert main(["monitor", spec, "--events", events_file(["a"] * 3003)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [f"{i} a RUNNING" for i in range(1, 3003)] + [
+            "3003 a FAILED"
+        ]
 
     def test_wide_parallel_under_traces(self, spec_file, capsys):
         spec = spec_file("alphabet {a} process " + " |[{}]| ".join(["STOP"] * 5000))

@@ -7,7 +7,6 @@ from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OpenTermError
 from cspmon.sos import (
     TAU,
-    Transition,
     advance,
     internal_successors,
     reachable_transitions,
@@ -34,14 +33,10 @@ EMPTY = Literal(())
 NO_VIABILITY = (("if not right_doomed:", "if True:"), ("if not left_doomed:", "if True:"))
 
 
-def actions_and_targets(transitions):
-    return {(t.action, t.target) for t in transitions}
-
-
 class TestInternalSuccessors:
     def test_prefix_branches_over_its_set(self, ab):
         term = Prefix(X, literal("a", "b"), STOP)
-        assert actions_and_targets(internal_successors(term, ab)) == {
+        assert internal_successors(term, ab) == {
             ("a", STOP),
             ("b", STOP),
         }
@@ -49,7 +44,7 @@ class TestInternalSuccessors:
     def test_fail_blocks_sibling_and_propagates(self, ab):
         # The prefix operand may not act: its sibling is doomed.
         term = Parallel(FAIL, EMPTY, Prefix(X, literal("a"), STOP))
-        assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
+        assert internal_successors(term, ab) == {(TAU, FAIL)}
 
     def test_stop_and_fail_are_stuck(self, ab):
         assert internal_successors(STOP, ab) == frozenset()
@@ -59,12 +54,10 @@ class TestInternalSuccessors:
         # FAIL alone has no step and the double-FAIL rule does not apply, so
         # only the viable branch contributes.
         term = Choice(FAIL, Prefix(X, literal("a"), STOP))
-        assert actions_and_targets(internal_successors(term, ab)) == {("a", STOP)}
+        assert internal_successors(term, ab) == {("a", STOP)}
 
     def test_double_fail_choice(self, ab):
-        assert actions_and_targets(internal_successors(Choice(FAIL, FAIL), ab)) == {
-            (TAU, FAIL)
-        }
+        assert internal_successors(Choice(FAIL, FAIL), ab) == {(TAU, FAIL)}
 
     def test_synchronization_requires_both_sides(self, ab):
         term = Parallel(
@@ -72,8 +65,7 @@ class TestInternalSuccessors:
             literal("a"),
             Prefix(Y, literal("a", "b"), STOP),
         )
-        got = actions_and_targets(internal_successors(term, ab))
-        assert got == {
+        assert internal_successors(term, ab) == {
             ("a", Parallel(STOP, literal("a"), STOP)),
             ("b", Parallel(Prefix(X, literal("a"), STOP), literal("a"), STOP)),
         }
@@ -85,8 +77,7 @@ class TestInternalSuccessors:
     def test_enumeration_is_deterministic(self, abc):
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=31), 100):
             assert internal_successors(term, abc) == frozenset(
-                Transition(t.source, t.action, t.target)
-                for t in internal_successors(term, abc)
+                (action, target) for action, target in internal_successors(term, abc)
             )
 
 
@@ -139,17 +130,17 @@ class TestInvariants:
     def test_tau_strictly_shrinks(self, abc):
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=41), 500):
             for state in tau_closure(term, abc):
-                for t in internal_successors(state, abc):
-                    if t.action is TAU:
-                        assert term_size(t.target) < term_size(t.source)
+                for action, target in internal_successors(state, abc):
+                    if action is TAU:
+                        assert term_size(target) < term_size(state)
 
     def test_tau_step_preserves_doomedness(self, abc):
         # So the tau closure of a viable term is entirely viable, which the
         # monitor relies on to keep only viable residuals.
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=44), 500):
-            for t in reachable_transitions(term, abc):
-                if t.action is TAU:
-                    assert is_doomed(t.source) == is_doomed(t.target), t
+            for source, action, target in reachable_transitions(term, abc):
+                if action is TAU:
+                    assert is_doomed(source) == is_doomed(target), (source, target)
 
     def test_doomed_stability_and_progress(self, abc):
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=42), 500):
@@ -165,10 +156,10 @@ class TestInvariants:
                 succs = internal_successors(state, abc)
                 if state != FAIL:
                     assert succs, f"doomed non-FAIL term is stuck: {state}"
-                for t in succs:
-                    assert t.action is TAU
-                    assert is_doomed(t.target)
-                    stack.append(t.target)
+                for action, target in succs:
+                    assert action is TAU
+                    assert is_doomed(target)
+                    stack.append(target)
 
     def test_viability_blocking_vs_mutant(self, abc, source_mutant):
         # With the side-condition removed, a viable component next to a
@@ -181,16 +172,16 @@ class TestInvariants:
         found_difference = False
         for term, tight, wide in zip(terms, stock, loose):
             assert tight <= wide
-            if any(t.action is not TAU for t in wide - tight):
+            if any(action is not TAU for action, _ in wide - tight):
                 found_difference = True
             if is_doomed(term):
-                assert all(t.action is TAU for t in tight)
+                assert all(action is TAU for action, _ in tight)
         assert found_difference
 
 
 class TestSourceMutant:
     @pytest.mark.parametrize(
-        "anchor, count", [("if never_there:", 0), ("for t in left_steps:", 2)]
+        "anchor, count", [("if never_there:", 0), ("for a, t in left_steps:", 2)]
     )
     def test_anchor_must_occur_exactly_once(self, source_mutant, anchor, count):
         with pytest.raises(ValueError, match=f"occurs {count} times"):
@@ -200,11 +191,11 @@ class TestSourceMutant:
 
     def test_no_cache_leak_past_the_block(self, ab, source_mutant):
         term = Parallel(FAIL, EMPTY, Prefix(X, literal("a"), STOP))
-        assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
+        assert internal_successors(term, ab) == {(TAU, FAIL)}
         with source_mutant(sos, "_successors", *NO_VIABILITY):
-            inside = actions_and_targets(internal_successors(term, ab))
+            inside = internal_successors(term, ab)
         assert ("a", Parallel(FAIL, EMPTY, STOP)) in inside
-        assert actions_and_targets(internal_successors(term, ab)) == {(TAU, FAIL)}
+        assert internal_successors(term, ab) == {(TAU, FAIL)}
 
     def test_semantics_memo_does_not_serve_stock_results(self, ab, source_mutant):
         # The stock operator lets the empty operand empty the result; the

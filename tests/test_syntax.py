@@ -146,6 +146,12 @@ class TestRoundTrip:
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=61), 1000):
             assert parse_term(print_term(term), abc) == term
 
+    def test_deep_chain(self, ab):
+        term = STOP
+        for _ in range(10_000):
+            term = Prefix(X, Literal((Event("a"),)), term)
+        assert parse_term(print_term(term), ab) is term
+
     def test_format_spec_roundtrip(self):
         spec = parse_spec("alphabet {a,b} process ?x:{a} -> STOP")
         assert parse_spec(format_spec(spec)) == spec

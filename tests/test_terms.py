@@ -165,6 +165,23 @@ class TestSubstitute:
         assert substitute(A, X, chain) is chain
         assert substitute(A, Y, chain) is chain
 
+    def test_binder_run_stops_at_a_rebinding_binder(self):
+        # ?y:{x} -> ?x:{x} -> ?z:{x} -> STOP: the inner x binder's set is in
+        # the enclosing scope, its body is not.
+        inner = Prefix(Z, Literal((X,)), STOP)
+        term = Prefix(Y, Literal((X,)), Prefix(X, Literal((X,)), inner))
+        expected = Prefix(Y, Literal((A,)), Prefix(X, Literal((A,)), inner))
+        assert substitute(A, X, term) == expected
+
+    def test_variable_free_under_a_long_binder_run(self):
+        def chain(param):
+            term = Prefix(Z, Literal((param,)), STOP)
+            for _ in range(3000):
+                term = Prefix(Y, literal("a"), term)
+            return term
+
+        assert substitute(A, X, chain(X)) is chain(A)
+
     def test_size_preserved_on_random_terms(self, abc):
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=7), 200):
             for var in (X, Y):
