@@ -1,25 +1,38 @@
 """Online verdict engine.
 
-The monitor state is the set of viable residuals: every term the
-specification could be in after the events consumed so far that can still
-accept the empty trace.  The verdict is derived from it: RUNNING while the
-set is non-empty, and FAILED (irrevocably) once it is empty, which is
-exactly when the consumed trace has strayed out of the specification's
-trace set.
+The monitor state is a set of viable residuals: terms the specification
+could be in after the events consumed so far that can still accept the
+empty trace.  The verdict is derived from it: RUNNING while the set is
+non-empty, and FAILED (irrevocably) once it is empty, which is exactly when
+the consumed trace has strayed out of the specification's trace set.
+
+The verdict depends only on the union of the residuals' trace sets, so a
+state holds one residual per AC class.  ``P |[E]| Q`` for a fixed ``E`` is
+commutative and associative in trace semantics, ``P [] Q`` is also
+idempotent, and both laws preserve doomedness; residuals equal modulo these
+laws are one class, and the first one reached stands for it (normalization
+modulo AC: Baader & Nipkow, *Term Rewriting and All That*, 1998).  Each
+kept residual is still a term the transition engine reaches.  A step from a
+residual set on an event is memoized, as a lazy DFA caches its states
+(Cox, "Regular Expression Matching in the Wild", 2010), so a warm stream
+costs one memo hit per event.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import OutOfAlphabetError, ResidualOverflowError
 from .sos import advance, tau_closure
-from .terms import Term, is_doomed
+from .terms import Choice, Parallel, Term, is_doomed
 from .traces import Trace
 
 # Most residuals a state may hold; feed raises ResidualOverflowError past it.
 RESIDUAL_CAP = 10**6
+# Most (residual set, event, alphabet) steps the step memo keeps.
+STEP_MEMO_SIZE = 1 << 10
 
 
 class Verdict(enum.Enum):
@@ -27,9 +40,9 @@ class Verdict(enum.Enum):
     FAILED = "FAILED"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MonitorState:
-    # The viable residuals; empty exactly when the run has FAILED.
+    # One viable residual per AC class; empty exactly when the run has FAILED.
     residuals: frozenset[Term]
     alphabet: frozenset[str]
     strict: bool = False
@@ -62,7 +75,7 @@ def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) 
     changes whether a term is doomed, so the tau closure of a viable term is
     entirely viable.
     """
-    residuals = frozenset() if is_doomed(term) else tau_closure(term, alphabet)
+    residuals = frozenset() if is_doomed(term) else _classes(tau_closure(term, alphabet))
     return MonitorState(residuals, alphabet, strict)
 
 
@@ -78,12 +91,58 @@ def feed(state: MonitorState, event: str) -> MonitorState:
         if not state.strict:
             raise OutOfAlphabetError(event)
     elif state.residuals:
-        reached = advance(state.residuals, event, state.alphabet)
-        if len(reached) > RESIDUAL_CAP:
-            raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
-        # Doomed residuals can never become viable again.
-        residuals = frozenset(r for r in reached if not is_doomed(r))
+        residuals = _next(state.residuals, event, state.alphabet)
+        if len(residuals) > RESIDUAL_CAP:
+            raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
     return MonitorState(residuals, state.alphabet, state.strict, (state.trail, event))
+
+
+@lru_cache(maxsize=STEP_MEMO_SIZE)
+def _next(residuals: frozenset[Term], event: str, alphabet: frozenset[str]) -> frozenset[Term]:
+    """The state a residual set reaches on ``event``, one residual per class."""
+    return _classes(advance(residuals, event, alphabet))
+
+
+def _classes(terms) -> frozenset[Term]:
+    """The first viable term of each AC class among ``terms``.
+
+    Doomed terms are dropped: they can never become viable again.  A lone
+    viable term is its own class, so its key is not worked out.
+    """
+    viable = [term for term in terms if not is_doomed(term)]
+    if len(viable) < 2:
+        return frozenset(viable)
+    kept = {}
+    for term in viable:
+        kept.setdefault(_key(term), term)
+    return frozenset(kept.values())
+
+
+def _key(term: Term):
+    """A term's AC class, found without recursion.
+
+    A run of nested choices is the set of its operands (``[]`` is
+    idempotent).  A run of nested parallels on the same sync node (one object,
+    since nodes are interned) is that node with its operands as a multiset
+    (``|[E]|`` is not idempotent), sorted by ``id``: unlike ``hash`` (STOP
+    and FAIL hash alike), it cannot tie, and the order never leaves the key.
+    Any other term is its own class.
+    """
+    kind = type(term)
+    if kind is not Choice and kind is not Parallel:
+        return term
+    sync = term.sync if kind is Parallel else None
+    operands = []
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind and (sync is None or node.sync is sync):
+            stack += (node.left, node.right)
+        else:
+            operands.append(node)
+    if sync is None:
+        return frozenset(operands)
+    return sync, tuple(sorted(operands, key=id))
 
 
 def verdict_of(state: MonitorState) -> Verdict:

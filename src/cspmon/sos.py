@@ -15,6 +15,7 @@ from collections import deque
 from functools import lru_cache
 
 from .errors import OpenTermError
+from .syntax import print_term
 from .terms import (
     Choice,
     Event,
@@ -171,13 +172,17 @@ def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
 def reachable_transitions(
     term: Term, alphabet: frozenset[str]
 ) -> list[tuple[Term, "str | Tau", Term]]:
-    """Every ``(source, action, target)`` reachable from ``term``, in BFS order."""
+    """Every ``(source, action, target)`` reachable from ``term``, in BFS order.
+
+    Each source's steps are ordered by action name, then by printed target.
+    """
     seen = {term}
     queue = deque([term])
     out = []
     while queue:
         source = queue.popleft()
-        for action, target in sorted(internal_successors(source, alphabet), key=repr):
+        steps = internal_successors(source, alphabet)
+        for action, target in sorted(steps, key=lambda s: (str(s[0]), print_term(s[1]))):
             out.append((source, action, target))
             if target not in seen:
                 seen.add(target)

@@ -295,6 +295,28 @@ class TestGoldenOutput:
         assert main(args) == code
         assert self._digest(capsys) == digest
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["monitor"], ["step", "--trace", "a.b"], ["step", "--dot"]],
+        ids=["monitor", "step-trace", "step-dot"],
+    )
+    def test_output_does_not_depend_on_hash_seed(self, argv, spec_file, events_file):
+        # Sets of terms and of steps iterate in hash order, and event names
+        # hash differently under each PYTHONHASHSEED.
+        args = [argv[0], spec_file(self.INTERLEAVE_SPEC), *argv[1:]]
+        if argv[0] == "monitor":
+            args += ["--events", events_file("a b a b b a a b".split())]
+        src = os.path.dirname(os.path.dirname(cspmon.__file__))
+        outputs = []
+        for seed in ("0", "123"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "cspmon.cli", *args], capture_output=True, env=env
+            )
+            assert proc.stderr == b""
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1] != b""
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -430,6 +452,13 @@ class TestResourceErrors:
         assert main(["step", spec]) == 0
         out, err = capsys.readouterr()
         assert err == "" and len(out.splitlines()) == 2
+
+    def test_deep_chain_under_step_dot(self, spec_file, capsys):
+        # A node's steps are sorted by printed target; a binder run prints in a loop.
+        spec = spec_file("alphabet {a} process " + "?x:{a} -> " * 500 + "STOP")
+        assert main(["step", spec, "--dot"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 503
 
     def test_variable_free_under_a_long_binder_run(self, spec_file, events_file, capsys):
         # Stepping the root substitutes x under 3,000 ?y binders, in a loop.

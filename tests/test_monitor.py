@@ -4,25 +4,63 @@ import random
 
 import pytest
 
-from cspmon import monitor
+from cspmon import monitor, sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
-from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
+from cspmon.monitor import (
+    STEP_MEMO_SIZE,
+    Verdict,
+    _key,
+    _next,
+    feed,
+    feed_all,
+    init_monitor,
+    verdict_of,
+)
 from cspmon.sos import run, tau_closure
-from cspmon.syntax import parse_term
+from cspmon.syntax import parse_spec, parse_term
 from cspmon.terms import (
+    Choice,
     EventVar,
     FAIL,
+    FullAlphabet,
     Literal,
     Parallel,
     Prefix,
     STOP,
+    is_closed,
     is_doomed,
+    literal,
     prefix_depth,
 )
 from cspmon.traces import semantics
 
 X = EventVar("x")
+SYNCS = (Literal(()), literal("a"), FullAlphabet())
+
+
+def _subterms(term):
+    yield term
+    if isinstance(term, Prefix):
+        yield from _subterms(term.body)
+    elif isinstance(term, (Choice, Parallel)):
+        yield from _subterms(term.left)
+        yield from _subterms(term.right)
+
+
+def _run_operands(term, kind, sync=None):
+    """The operands of the run of ``kind`` nodes (on ``sync``) at ``term``."""
+    if isinstance(term, kind) and (sync is None or term.sync is sync):
+        return _run_operands(term.left, kind, sync) + _run_operands(term.right, kind, sync)
+    return [term]
+
+
+def _reassociate(rng, operands, join):
+    """A random binary tree over ``operands``, in their order."""
+    if len(operands) == 1:
+        return operands[0]
+    cut = rng.randint(1, len(operands) - 1)
+    return join(_reassociate(rng, operands[:cut], join), _reassociate(rng, operands[cut:], join))
 
 
 class TestInitMonitor:
@@ -96,8 +134,10 @@ class TestFeed:
         )
         monkeypatch.setattr(monitor, "RESIDUAL_CAP", 1)
         state = init_monitor(term, ab)
-        with pytest.raises(ResidualOverflowError):
-            feed(state, "a")
+        _next.cache_clear()
+        for _ in range(2):  # a cold step memo, then a warm one
+            with pytest.raises(ResidualOverflowError):
+                feed(state, "a")
 
 
 class TestVerdictCorrectness:
@@ -141,3 +181,116 @@ class TestVerdictCorrectness:
                 for r in state.residuals:
                     assert not is_doomed(r)
                     assert tau_closure(r, abc) <= state.residuals
+
+
+class TestACClasses:
+    def test_ac_laws_keep_the_class(self, abc):
+        rng = random.Random(79)
+        for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=54), 1_000):
+            for sub in _subterms(term):
+                if not is_closed(sub):
+                    continue
+                if isinstance(sub, Choice):
+                    operands = _run_operands(sub, Choice)
+                    operands.append(rng.choice(operands))
+                    join = Choice
+                elif isinstance(sub, Parallel):
+                    operands = _run_operands(sub, Parallel, sub.sync)
+                    join = lambda left, right, sync=sub.sync: Parallel(left, sync, right)
+                else:
+                    continue
+                rng.shuffle(operands)
+                variant = _reassociate(rng, operands, join)
+                k = prefix_depth(sub) + 1
+                assert _key(variant) == _key(sub), f"{sub} vs {variant}"
+                assert is_doomed(variant) == is_doomed(sub)
+                assert semantics(variant, k, abc) == semantics(sub, k, abc), f"{sub} vs {variant}"
+
+    def test_equal_keys_mean_equal_traces(self, abc):
+        # Next to each closed parallel, the terms a key that forgot its sync
+        # or an inner node's, or that counted operands as a set, would merge
+        # with it or with each other.
+        classes = {}
+        for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=55), 1_000):
+            for sub in _subterms(term):
+                if not is_closed(sub):
+                    continue
+                pool = [sub]
+                if isinstance(sub, Parallel):
+                    pool.append(Parallel(sub, sub.sync, sub.right))
+                    for sync in SYNCS:
+                        pool.append(Parallel(sub.left, sync, sub.right))
+                        pool.append(Parallel(Parallel(sub.left, sync, sub.right), sub.sync, sub.left))
+                for member in pool:
+                    classes.setdefault(_key(member), set()).add(member)
+        merged = 0
+        for members in classes.values():
+            k = max(prefix_depth(m) for m in members) + 1
+            first, *rest = members
+            for other in rest:
+                merged += 1
+                assert is_doomed(other) == is_doomed(first)
+                assert semantics(other, k, abc) == semantics(first, k, abc), f"{first} vs {other}"
+        assert merged > 0
+
+
+class TestStepMemo:
+    def test_warm_and_cold_agree(self, abc):
+        rng = random.Random(80)
+        events = sorted(abc)
+        cases = [
+            (term, [rng.choice(events) for _ in range(rng.randint(1, 5))])
+            for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=56), 200)
+        ]
+
+        def outcomes():
+            out = []
+            for term, trace in cases:
+                state = feed_all(init_monitor(term, abc), trace)
+                out.append((verdict_of(state), {_key(r) for r in state.residuals}))
+            return out
+
+        cold = outcomes()
+        assert outcomes() == cold  # warm
+        _next.cache_clear()
+        assert outcomes() == cold
+
+    def test_memo_is_bounded(self):
+        assert _next.cache_info().maxsize == STEP_MEMO_SIZE
+
+    def test_warm_feed_does_not_advance(self, ab, monkeypatch):
+        state = init_monitor(parse_term("?x:{a,b} -> ?y:{b} -> STOP", ab), ab)
+        feed(state, "a")
+
+        def unreachable(*args):
+            raise AssertionError("advance called on a warm step memo")
+
+        monkeypatch.setattr(monitor, "advance", unreachable)
+        hits = _next.cache_info().hits
+        assert verdict_of(feed(state, "a")) is Verdict.RUNNING
+        assert _next.cache_info().hits == hits + 1
+
+    def test_source_mutant_reaches_a_warm_memo(self, ab, source_mutant):
+        state = init_monitor(parse_term("?x:{a} -> STOP", ab), ab)
+        assert verdict_of(feed(state, "a")) is Verdict.RUNNING
+        prefix_steps = "out.append((e, substitute(Event(e), term.var, term.body)))"
+        with source_mutant(sos, "_successors", (prefix_steps, "pass")):
+            assert verdict_of(feed(state, "a")) is Verdict.FAILED
+        assert verdict_of(feed(state, "a")) is Verdict.RUNNING
+
+
+class TestStateExplosion:
+    def test_six_chain_interleaving_stays_small(self):
+        # As perfbench's interleave_spec("a", "b", 6, 5) builds it.
+        chain = "STOP"
+        for _ in range(5):
+            chain = f"(?x:{{a,b}} -> {chain} [] ?x:{{b}} -> FAIL)"
+        spec = parse_spec("alphabet {a,b} process " + " |[{}]| ".join([chain] * 6))
+        state = init_monitor(spec.root, spec.alphabet)
+        sizes = [len(state.residuals)]
+        for i in range(30):
+            state = feed(state, "ab"[i % 2])
+            sizes.append(len(state.residuals))
+        assert verdict_of(state) is Verdict.RUNNING
+        assert verdict_of(feed(state, "a")) is Verdict.FAILED
+        assert max(sizes) <= 40

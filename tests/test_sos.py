@@ -74,12 +74,6 @@ class TestInternalSuccessors:
         with pytest.raises(OpenTermError):
             internal_successors(Prefix(Y, Literal((X,)), STOP), ab)
 
-    def test_enumeration_is_deterministic(self, abc):
-        for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=31), 100):
-            assert internal_successors(term, abc) == frozenset(
-                (action, target) for action, target in internal_successors(term, abc)
-            )
-
 
 class TestTauClosure:
     def test_reflexive(self, ab):
