@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .sos import TAU, advance, internal_successors, tau_closure, visible_successors
+from .sos import TAU, advance, engine, internal_successors, tau_closure, visible_successors
 from .syntax import print_term
 from .terms import (
     Choice,
@@ -326,6 +326,7 @@ def run_suite(
     base_seed: int = 0,
 ) -> list[CheckReport]:
     """All per-term checks over a corpus, reported one line per property."""
+    held = engine(alphabet)  # for the whole corpus, so its memos stay warm
     reports = []
     for i, term in enumerate(terms):
         seed = base_seed + i

@@ -7,32 +7,25 @@ non-empty, and FAILED (irrevocably) once it is empty, which is exactly when
 the consumed trace has strayed out of the specification's trace set.
 
 The verdict depends only on the union of the residuals' trace sets, so a
-state holds one residual per AC class.  ``P |[E]| Q`` for a fixed ``E`` is
-commutative and associative in trace semantics, ``P [] Q`` is also
-idempotent, and both laws preserve doomedness; residuals equal modulo these
-laws are one class, and the first one reached stands for it (normalization
-modulo AC: Baader & Nipkow, *Term Rewriting and All That*, 1998).  Each
-kept residual is still a term the transition engine reaches.  A step from a
-residual set on an event is memoized, as a lazy DFA caches its states
-(Cox, "Regular Expression Matching in the Wild", 2010), so a warm stream
-costs one memo hit per event.
+state holds one residual per AC class (``sos.ac_classes``).  A state holds
+the ``sos.Engine`` of its alphabet, whose step memo maps a residual set and
+an event to the next residual set, so a warm stream costs one memo hit per
+event; once no state of an alphabet is left, its engine and memos are
+freed.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import OutOfAlphabetError, ResidualOverflowError
-from .sos import advance, tau_closure
-from .terms import Choice, Parallel, Term, is_doomed
+from .sos import Engine, ac_classes, engine
+from .terms import Term, is_doomed
 from .traces import Trace
 
 # Most residuals a state may hold; feed raises ResidualOverflowError past it.
 RESIDUAL_CAP = 10**6
-# Most (residual set, event, alphabet) steps the step memo keeps.
-STEP_MEMO_SIZE = 1 << 10
 
 
 class Verdict(enum.Enum):
@@ -44,7 +37,8 @@ class Verdict(enum.Enum):
 class MonitorState:
     # One viable residual per AC class; empty exactly when the run has FAILED.
     residuals: frozenset[Term]
-    alphabet: frozenset[str]
+    # The engine of the spec's alphabet, held for as long as the state is.
+    engine: Engine
     strict: bool = False
     # The consumed events as a persistent list, newest first: None or
     # ``(previous trail, event)``.  Feeding shares the previous trail instead
@@ -55,6 +49,10 @@ class MonitorState:
     @property
     def verdict(self) -> Verdict:
         return Verdict.RUNNING if self.residuals else Verdict.FAILED
+
+    @property
+    def alphabet(self) -> frozenset[str]:
+        return self.engine.alphabet
 
     @property
     def consumed(self) -> Trace:
@@ -75,8 +73,9 @@ def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) 
     changes whether a term is doomed, so the tau closure of a viable term is
     entirely viable.
     """
-    residuals = frozenset() if is_doomed(term) else _classes(tau_closure(term, alphabet))
-    return MonitorState(residuals, alphabet, strict)
+    held = engine(alphabet)
+    residuals = frozenset() if is_doomed(term) else ac_classes(held.tau_closure(term))
+    return MonitorState(residuals, held, strict)
 
 
 def feed(state: MonitorState, event: str) -> MonitorState:
@@ -87,62 +86,15 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     the monitor is strict, in which case they fail the run.
     """
     residuals = frozenset()
-    if event not in state.alphabet:
+    held = state.engine
+    if event not in held.alphabet:
         if not state.strict:
             raise OutOfAlphabetError(event)
     elif state.residuals:
-        residuals = _next(state.residuals, event, state.alphabet)
+        residuals = held.step(state.residuals, event)
         if len(residuals) > RESIDUAL_CAP:
             raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
-    return MonitorState(residuals, state.alphabet, state.strict, (state.trail, event))
-
-
-@lru_cache(maxsize=STEP_MEMO_SIZE)
-def _next(residuals: frozenset[Term], event: str, alphabet: frozenset[str]) -> frozenset[Term]:
-    """The state a residual set reaches on ``event``, one residual per class."""
-    return _classes(advance(residuals, event, alphabet))
-
-
-def _classes(terms) -> frozenset[Term]:
-    """The first viable term of each AC class among ``terms``.
-
-    Doomed terms are dropped: they can never become viable again.  A lone
-    viable term is its own class, so its key is not worked out.
-    """
-    viable = [term for term in terms if not is_doomed(term)]
-    if len(viable) < 2:
-        return frozenset(viable)
-    kept = {}
-    for term in viable:
-        kept.setdefault(_key(term), term)
-    return frozenset(kept.values())
-
-
-def _key(term: Term):
-    """A term's AC class, found without recursion.
-
-    A run of nested choices is the set of its operands (``[]`` is
-    idempotent).  A run of nested parallels on the same sync node (one object,
-    since nodes are interned) is that node with its operands as a multiset
-    (``|[E]|`` is not idempotent), sorted by ``id``: unlike ``hash`` (STOP
-    and FAIL hash alike), it cannot tie, and the order never leaves the key.
-    Any other term is its own class.
-    """
-    kind = type(term)
-    if kind is not Choice and kind is not Parallel:
-        return term
-    sync = term.sync if kind is Parallel else None
-    operands = []
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if type(node) is kind and (sync is None or node.sync is sync):
-            stack += (node.left, node.right)
-        else:
-            operands.append(node)
-    if sync is None:
-        return frozenset(operands)
-    return sync, tuple(sorted(operands, key=id))
+    return MonitorState(residuals, held, state.strict, (state.trail, event))
 
 
 def verdict_of(state: MonitorState) -> Verdict:

@@ -7,12 +7,33 @@ Failure propagation is forced by viability side-conditions: in a parallel
 composition, a component may act on its own only while the other side is
 viable, so once a side is doomed the only applicable rules are the ones
 that push FAIL outward.
+
+An ``Engine`` holds one alphabet and owns that alphabet's memos: the
+successors, tau closure and visible successors of each term, and the
+monitor's step from a residual set on an event.  ``engine(alphabet)``
+returns the live engine of an alphabet.  A caller holds its engine for as
+long as it uses it (a monitor state holds its own), and once nothing holds
+an engine its memos are freed with it, as monitor state that nothing can
+reach is freed in Jin, Meredith, Griffith & Roşu, "Garbage Collection for
+Monitoring Parametric Properties" (PLDI 2011).  The module-level
+functions take the alphabet and call its engine.
+
+A step of the monitor keeps one viable residual per AC class.  ``P |[E]|
+Q`` for a fixed ``E`` is commutative and associative in trace semantics,
+``P [] Q`` is also idempotent, and both laws preserve doomedness; residuals
+equal modulo these laws are one class, and the first one reached stands for
+it (normalization modulo AC: Baader & Nipkow, *Term Rewriting and All
+That*, 1998).  Each kept residual is still a term this engine reaches.  The
+step memo caches residual sets as a lazy DFA caches its states (Cox,
+"Regular Expression Matching in the Wild", 2010).
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 from .errors import OpenTermError
 from .syntax import print_term
@@ -51,39 +72,158 @@ TAU = Tau()
 # A step of a term: the action it emits and the term it becomes.
 Transition = tuple["str | Tau", Term]
 
+# Most (residual set, event) steps an engine's step memo keeps.
+STEP_MEMO_SIZE = 1 << 10
+# The memos an engine owns, by attribute name.
+_MEMOS = ("internal_successors", "tau_closure", "visible_successors", "step")
 
-@lru_cache(maxsize=None)
+
+class Engine:
+    """One alphabet's step relation, with a memo per function.
+
+    Each memo is an ``lru_cache`` keyed on the term (``step``: on the
+    residual set and the event), never on the alphabet.  The memos reach
+    their engine through a weak proxy, so an engine is in no reference
+    cycle and is freed as soon as nothing holds it.
+    """
+
+    __slots__ = ("alphabet", *_MEMOS, "__weakref__")
+
+    def __init__(self, alphabet: frozenset[str]):
+        me = weakref.proxy(self)
+        self.alphabet = alphabet
+        self.internal_successors = lru_cache(maxsize=None)(partial(_internal_successors, me))
+        self.tau_closure = lru_cache(maxsize=None)(partial(_tau_closure, me))
+        self.visible_successors = lru_cache(maxsize=None)(partial(_visible_successors, me))
+        self.step = lru_cache(maxsize=STEP_MEMO_SIZE)(partial(_step, me))
+        memos = {name: getattr(self, name) for name in _MEMOS}
+        weakref.finalize(self, _retire, memos).atexit = False
+
+    def __repr__(self):
+        return f"Engine({sorted(self.alphabet)!r})"
+
+
+_engines: weakref.WeakValueDictionary[frozenset[str], Engine] = weakref.WeakValueDictionary()
+# The engine that engine() returned last, and the set it was asked for.
+_last: Engine | None = None
+_last_alphabet: frozenset[str] | None = None
+# Hits and misses of the memos of the engines already freed, by memo name.
+_freed = {name: [0, 0] for name in _MEMOS}
+
+
+def engine(alphabet: frozenset[str]) -> Engine:
+    """The live engine of ``alphabet``, built if there is none.
+
+    The engine returned last stays alive even when no caller holds it, so
+    calls on one alphabet one after another (``cspmon check`` runs its
+    suite one term at a time) keep its memos warm.
+    """
+    global _last, _last_alphabet
+    if alphabet is _last_alphabet:
+        return _last
+    found = _engines.get(alphabet)
+    if found is None:
+        found = _engines[alphabet] = Engine(alphabet)
+    _last, _last_alphabet = found, alphabet
+    return found
+
+
+def _retire(memos) -> None:
+    """Add a freed engine's memo statistics to the process-wide totals."""
+    for name, memo in memos.items():
+        info = memo.cache_info()
+        _freed[name][0] += info.hits
+        _freed[name][1] += info.misses
+
+
+def _memo_info(name: str) -> SimpleNamespace:
+    """Process-wide hits and misses of one memo, freed engines included, and
+    the entries that live engines hold."""
+    hits, misses = _freed[name]
+    entries = 0
+    for live in _engines.values():
+        info = getattr(live, name).cache_info()
+        hits += info.hits
+        misses += info.misses
+        entries += info.currsize
+    return SimpleNamespace(hits=hits, misses=misses, currsize=entries)
+
+
+def _clear_memos() -> None:
+    """Empty every memo of every live engine and zero the statistics."""
+    for live in _engines.values():
+        for name in _MEMOS:
+            getattr(live, name).cache_clear()
+    for counts in _freed.values():
+        counts[:] = [0, 0]
+
+
+def _reports_on_memo(wrapper):
+    """Give a module-level wrapper ``cache_info`` and ``cache_clear``, as an
+    ``lru_cache`` has, over the engines' memo of the same name."""
+    wrapper.cache_info = partial(_memo_info, wrapper.__name__)
+    wrapper.cache_clear = _clear_memos
+    return wrapper
+
+
+@_reports_on_memo
 def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Transition]:
     """All one-step ``(action, target)`` pairs of a closed term, deduplicated."""
+    return engine(alphabet).internal_successors(term)
+
+
+@_reports_on_memo
+def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
+    """Every term reachable by zero or more tau steps, intermediates included.
+
+    Terminates because each tau step strictly shrinks the term.
+    """
+    return engine(alphabet).tau_closure(term)
+
+
+@_reports_on_memo
+def visible_successors(term: Term, event: str, alphabet: frozenset[str]) -> frozenset[Term]:
+    """All terms reachable by emitting exactly ``event`` (tau steps free).
+
+    Includes every stop along the trailing tau run, not only tau-normal
+    forms.
+    """
+    return engine(alphabet).visible_successors(term, event)
+
+
+# --- the engine's memoized functions ------------------------------------------
+
+
+def _internal_successors(eng: Engine, term: Term) -> frozenset[Transition]:
     if not is_closed(term):
         raise OpenTermError(f"term has free variables: {term!r}")
-    return frozenset(_successors(term, alphabet))
+    return frozenset(_successors(eng, term))
 
 
-def _successors(term: Term, alphabet):
-    # A component's steps come from the cache: residuals that share a
+def _successors(eng: Engine, term: Term):
+    # A component's steps come from the memo: residuals that share a
     # component compute its steps once.  TAU is in no sync set.
     out = []
     if isinstance(term, (Stop, Fail)):
         return out
     if isinstance(term, Prefix):
-        for e in sorted(eval_event_set(term.events, alphabet)):
+        for e in sorted(eval_event_set(term.events, eng.alphabet)):
             out.append((e, substitute(Event(e), term.var, term.body)))
         return out
     if isinstance(term, Choice):
-        for a, t in internal_successors(term.left, alphabet):
+        for a, t in eng.internal_successors(term.left):
             out.append((a, Choice(t, term.right) if a is TAU else t))
-        for a, t in internal_successors(term.right, alphabet):
+        for a, t in eng.internal_successors(term.right):
             out.append((a, Choice(term.left, t) if a is TAU else t))
         if term.left is FAIL and term.right is FAIL:
             out.append((TAU, FAIL))
         return out
     assert isinstance(term, Parallel)
-    sync = eval_event_set(term.sync, alphabet)
+    sync = eval_event_set(term.sync, eng.alphabet)
     left_doomed = is_doomed(term.left)
     right_doomed = is_doomed(term.right)
-    left_steps = internal_successors(term.left, alphabet)
-    right_steps = internal_successors(term.right, alphabet)
+    left_steps = eng.internal_successors(term.left)
+    right_steps = eng.internal_successors(term.right)
     # Independent progress outside the sync set, gated on the sibling's
     # viability.
     if not right_doomed:
@@ -117,55 +257,94 @@ def _successors(term: Term, alphabet):
     return out
 
 
-@lru_cache(maxsize=None)
-def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
-    """Every term reachable by zero or more tau steps, intermediates included.
-
-    Terminates because each tau step strictly shrinks the term.
-    """
+def _tau_closure(eng: Engine, term: Term) -> frozenset[Term]:
     seen = {term}
     frontier = [term]
     while frontier:
         current = frontier.pop()
-        for a, t in internal_successors(current, alphabet):
+        for a, t in eng.internal_successors(current):
             if a is TAU and t not in seen:
                 seen.add(t)
                 frontier.append(t)
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
-def visible_successors(
-    term: Term, event: str, alphabet: frozenset[str]
-) -> frozenset[Term]:
-    """All terms reachable by emitting exactly ``event`` (tau steps free).
-
-    Includes every stop along the trailing tau run, not only tau-normal
-    forms.
-    """
+def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
     out = set()
-    for pre in tau_closure(term, alphabet):
-        for a, t in internal_successors(pre, alphabet):
+    for pre in eng.tau_closure(term):
+        for a, t in eng.internal_successors(pre):
             if a == event:
-                out |= tau_closure(t, alphabet)
+                out |= eng.tau_closure(t)
     return frozenset(out)
+
+
+def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
+    """The state a residual set reaches on ``event``, one residual per class."""
+    return ac_classes(advance(residuals, event, eng.alphabet))
+
+
+def ac_classes(terms) -> frozenset[Term]:
+    """The first viable term of each AC class among ``terms``.
+
+    Doomed terms are dropped: they can never become viable again.  A lone
+    viable term is its own class, so its key is not worked out.
+    """
+    viable = [term for term in terms if not is_doomed(term)]
+    if len(viable) < 2:
+        return frozenset(viable)
+    kept = {}
+    for term in viable:
+        kept.setdefault(_key(term), term)
+    return frozenset(kept.values())
+
+
+def _key(term: Term):
+    """A term's AC class, found without recursion.
+
+    A run of nested choices is the set of its operands (``[]`` is
+    idempotent).  A run of nested parallels on the same sync node (one object,
+    since nodes are interned) is that node with its operands as a multiset
+    (``|[E]|`` is not idempotent), sorted by ``id``: unlike ``hash`` (STOP
+    and FAIL hash alike), it cannot tie, and the order never leaves the key.
+    Any other term is its own class.
+    """
+    kind = type(term)
+    if kind is not Choice and kind is not Parallel:
+        return term
+    sync = term.sync if kind is Parallel else None
+    operands = []
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind and (sync is None or node.sync is sync):
+            stack += (node.left, node.right)
+        else:
+            operands.append(node)
+    if sync is None:
+        return frozenset(operands)
+    return sync, tuple(sorted(operands, key=id))
+
+
+# --- runs over the memoized functions --------------------------------------------
 
 
 def advance(
     states: frozenset[Term], event: str, alphabet: frozenset[str]
 ) -> frozenset[Term]:
     """All terms reachable from some term of ``states`` by emitting ``event``."""
+    visible = engine(alphabet).visible_successors
     out = set()
     for s in states:
-        out |= visible_successors(s, event, alphabet)
+        out |= visible(s, event)
     return frozenset(out)
 
 
 def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting ``trace``."""
-    states = tau_closure(term, alphabet)
+    held = engine(alphabet)
+    states = held.tau_closure(term)
     for event in trace:
-        states = advance(states, event, alphabet)
+        states = advance(states, event, held.alphabet)
     return states
 
 
@@ -176,12 +355,13 @@ def reachable_transitions(
 
     Each source's steps are ordered by action name, then by printed target.
     """
+    steps_of = engine(alphabet).internal_successors
     seen = {term}
     queue = deque([term])
     out = []
     while queue:
         source = queue.popleft()
-        steps = internal_successors(source, alphabet)
+        steps = steps_of(source)
         for action, target in sorted(steps, key=lambda s: (str(s[0]), print_term(s[1]))):
             out.append((source, action, target))
             if target not in seen:

@@ -1,23 +1,16 @@
 """Online monitor: verdicts must track membership in the trace set."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from cspmon import monitor, sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
-from cspmon.monitor import (
-    STEP_MEMO_SIZE,
-    Verdict,
-    _key,
-    _next,
-    feed,
-    feed_all,
-    init_monitor,
-    verdict_of,
-)
-from cspmon.sos import run, tau_closure
+from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
+from cspmon.sos import STEP_MEMO_SIZE, _key, engine, run, tau_closure
 from cspmon.syntax import parse_spec, parse_term
 from cspmon.terms import (
     Choice,
@@ -68,6 +61,7 @@ class TestInitMonitor:
         state = init_monitor(STOP, ab)
         assert verdict_of(state) is Verdict.RUNNING
         assert state.residuals == {STOP}
+        assert state.alphabet == ab and state.engine is engine(ab)
 
     def test_fail_starts_failed(self, ab):
         assert verdict_of(init_monitor(FAIL, ab)) is Verdict.FAILED
@@ -134,7 +128,7 @@ class TestFeed:
         )
         monkeypatch.setattr(monitor, "RESIDUAL_CAP", 1)
         state = init_monitor(term, ab)
-        _next.cache_clear()
+        state.engine.step.cache_clear()
         for _ in range(2):  # a cold step memo, then a warm one
             with pytest.raises(ResidualOverflowError):
                 feed(state, "a")
@@ -169,18 +163,29 @@ class TestVerdictCorrectness:
                 for r in state.residuals:
                     assert r in reachable
 
+    # On ``a``, the tau successor ``FAIL [] ?y:{b} -> STOP`` of one residual
+    # may be absent: its class is held by ``?y:{b} -> STOP [] FAIL``.
+    TAU_SUCCESSOR_IN_ANOTHER_FORM = (
+        "?x:{a} -> ((FAIL |[{}]| STOP) [] ?y:{b} -> STOP) "
+        "[] ?x:{a} -> (?y:{b} -> STOP [] FAIL)"
+    )
+
     def test_state_is_its_viable_residuals(self, abc):
         rng = random.Random(78)
         events = sorted(abc)
+        cases = [(parse_term(self.TAU_SUCCESSOR_IN_ANOTHER_FORM, abc), ["a"])]
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=53), 200):
+            cases.append((term, [rng.choice(events) for _ in range(rng.randint(1, 5))]))
+        for term, trace in cases:
             states = [init_monitor(term, abc)]
-            for _ in range(rng.randint(1, 5)):
-                states.append(feed(states[-1], rng.choice(events)))
+            for event in trace:
+                states.append(feed(states[-1], event))
             for state in states:
                 assert (verdict_of(state) is Verdict.RUNNING) == bool(state.residuals)
+                classes = {_key(s) for s in state.residuals}
                 for r in state.residuals:
                     assert not is_doomed(r)
-                    assert tau_closure(r, abc) <= state.residuals
+                    assert {_key(t) for t in tau_closure(r, abc)} <= classes
 
 
 class TestACClasses:
@@ -252,11 +257,11 @@ class TestStepMemo:
 
         cold = outcomes()
         assert outcomes() == cold  # warm
-        _next.cache_clear()
+        engine(abc).step.cache_clear()
         assert outcomes() == cold
 
-    def test_memo_is_bounded(self):
-        assert _next.cache_info().maxsize == STEP_MEMO_SIZE
+    def test_memo_is_bounded(self, ab):
+        assert engine(ab).step.cache_info().maxsize == STEP_MEMO_SIZE
 
     def test_warm_feed_does_not_advance(self, ab, monkeypatch):
         state = init_monitor(parse_term("?x:{a,b} -> ?y:{b} -> STOP", ab), ab)
@@ -265,10 +270,10 @@ class TestStepMemo:
         def unreachable(*args):
             raise AssertionError("advance called on a warm step memo")
 
-        monkeypatch.setattr(monitor, "advance", unreachable)
-        hits = _next.cache_info().hits
+        monkeypatch.setattr(sos, "advance", unreachable)
+        hits = state.engine.step.cache_info().hits
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING
-        assert _next.cache_info().hits == hits + 1
+        assert state.engine.step.cache_info().hits == hits + 1
 
     def test_source_mutant_reaches_a_warm_memo(self, ab, source_mutant):
         state = init_monitor(parse_term("?x:{a} -> STOP", ab), ab)
@@ -277,6 +282,39 @@ class TestStepMemo:
         with source_mutant(sos, "_successors", (prefix_steps, "pass")):
             assert verdict_of(feed(state, "a")) is Verdict.FAILED
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING
+
+
+class TestEngineLifetime:
+    def test_dropped_states_free_their_engine(self):
+        # Another alphabet's engine, held throughout, becomes the one engine()
+        # keeps alive, so that the spec's engine is held by its states alone.
+        other = engine(frozenset({"lifetime_other"}))
+        gc.collect()
+        before = sos.internal_successors.cache_info().currsize
+        depth = STEP_MEMO_SIZE + 100
+        chain = "STOP"
+        for _ in range(depth):
+            chain = f"?x:{{lifetime_a}} -> {chain}"
+        spec = parse_spec("alphabet {lifetime_a} process " + chain)
+        state = feed_all(init_monitor(spec.root, spec.alphabet), ["lifetime_a"] * depth)
+        assert verdict_of(state) is Verdict.RUNNING
+        assert sos.internal_successors.cache_info().currsize > before
+        # A step memo entry per event, but only the most recent ones kept.
+        assert state.engine.step.cache_info().currsize == STEP_MEMO_SIZE
+        freed = weakref.ref(state.engine)
+        del state
+        assert engine(other.alphabet) is other
+        gc.collect()
+        assert freed() is None
+        assert sos.internal_successors.cache_info().currsize == before
+
+    def test_statistics_outlive_the_engine(self):
+        misses = sos.tau_closure.cache_info().misses
+        init_monitor(parse_term("?x:{lifetime_b} -> STOP", frozenset({"lifetime_b"})),
+                     frozenset({"lifetime_b"}))
+        engine(frozenset({"lifetime_other"}))
+        gc.collect()
+        assert sos.tau_closure.cache_info().misses == misses + 1
 
 
 class TestStateExplosion:
