@@ -91,7 +91,10 @@ def feed(state: MonitorState, event: str) -> MonitorState:
         if not state.strict:
             raise OutOfAlphabetError(event)
     elif state.residuals:
-        residuals = held.step(state.residuals, event)
+        # Loaded as an attribute, which CPython specializes for a slot; a
+        # method call on a callable kept in a slot is looked up afresh.
+        step = held.step
+        residuals = step(state.residuals, event)
         if len(residuals) > RESIDUAL_CAP:
             raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
     return MonitorState(residuals, held, state.strict, (state.trail, event))
