@@ -24,6 +24,7 @@ from .errors import CspmonError, InputDecodeError, OutOfAlphabetError
 from .monitor import Verdict, feed, init_monitor
 from .sos import internal_successors, run
 from .syntax import SpecFile, parse_spec, print_term
+from .terms import FAIL
 from .traces import canonical_traces, format_trace, parse_trace, semantics
 
 
@@ -53,7 +54,7 @@ def _iter_events(stream, fmt: str):
 
 def cmd_monitor(args) -> int:
     spec = _load_spec(args.spec)
-    state = init_monitor(spec.root, spec.alphabet, strict=args.strict)
+    state = init_monitor(spec.root, spec.alphabet)
     if args.events == "-":
         stream = sys.stdin
         # A C or POSIX locale reads stdin with surrogateescape, which would
@@ -65,7 +66,11 @@ def cmd_monitor(args) -> int:
     try:
         events = _iter_events(stream, args.format)
         for i, event in enumerate(events, start=1):
-            state = feed(state, event)
+            if args.strict and event not in spec.alphabet:
+                # FAIL's monitor is FAILED from the start.
+                state = init_monitor(FAIL, spec.alphabet)
+            else:
+                state = feed(state, event)
             print(f"{i} {event} {state.verdict.value}")
     except UnicodeDecodeError as exc:
         # A subclass of ValueError: a file that is not text, not a bad record.

@@ -5,6 +5,8 @@ could be in after the events consumed so far that can still accept the
 empty trace.  The verdict is derived from it: RUNNING while the set is
 non-empty, and FAILED (irrevocably) once it is empty, which is exactly when
 the consumed trace has strayed out of the specification's trace set.
+A state is its residuals and its engine, nothing more: it keeps no record
+of the events fed, so its memory does not grow with the stream.
 
 The verdict depends only on the union of the residuals' trace sets, so a
 state holds one residual per AC class (``sos.ac_classes``).  A state holds
@@ -17,7 +19,7 @@ freed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import OutOfAlphabetError, ResidualOverflowError
 from .sos import Engine, ac_classes, engine
@@ -39,12 +41,6 @@ class MonitorState:
     residuals: frozenset[Term]
     # The engine of the spec's alphabet, held for as long as the state is.
     engine: Engine
-    strict: bool = False
-    # The consumed events as a persistent list, newest first: None or
-    # ``(previous trail, event)``.  Feeding shares the previous trail instead
-    # of copying it, so a stream costs linear time.  Left out of equality
-    # and repr, which would otherwise recurse once per event.
-    trail: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def verdict(self) -> Verdict:
@@ -54,18 +50,8 @@ class MonitorState:
     def alphabet(self) -> frozenset[str]:
         return self.engine.alphabet
 
-    @property
-    def consumed(self) -> Trace:
-        """Every event fed so far, oldest first."""
-        events = []
-        node = self.trail
-        while node is not None:
-            node, event = node
-            events.append(event)
-        return tuple(reversed(events))
 
-
-def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) -> MonitorState:
+def init_monitor(term: Term, alphabet: frozenset[str]) -> MonitorState:
     """Start monitoring a closed specification term.
 
     The initial verdict is FAILED exactly when the term is already doomed,
@@ -75,29 +61,28 @@ def init_monitor(term: Term, alphabet: frozenset[str], *, strict: bool = False) 
     """
     held = engine(alphabet)
     residuals = frozenset() if is_doomed(term) else ac_classes(held.tau_closure(term))
-    return MonitorState(residuals, held, strict)
+    return MonitorState(residuals, held)
 
 
 def feed(state: MonitorState, event: str) -> MonitorState:
     """Consume one event and return the updated state.
 
-    FAILED is absorbing.  Events outside the alphabet raise
-    OutOfAlphabetError (an instrumentation mismatch, not a verdict) unless
-    the monitor is strict, in which case they fail the run.
+    Events outside the alphabet raise OutOfAlphabetError (an instrumentation
+    mismatch, not a verdict).  FAILED is absorbing: feeding a FAILED state
+    returns that same state.
     """
-    residuals = frozenset()
     held = state.engine
     if event not in held.alphabet:
-        if not state.strict:
-            raise OutOfAlphabetError(event)
-    elif state.residuals:
-        # Loaded as an attribute, which CPython specializes for a slot; a
-        # method call on a callable kept in a slot is looked up afresh.
-        step = held.step
-        residuals = step(state.residuals, event)
-        if len(residuals) > RESIDUAL_CAP:
-            raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
-    return MonitorState(residuals, held, state.strict, (state.trail, event))
+        raise OutOfAlphabetError(event)
+    if not state.residuals:
+        return state
+    # Loaded as an attribute, which CPython specializes for a slot; a
+    # method call on a callable kept in a slot is looked up afresh.
+    step = held.step
+    residuals = step(state.residuals, event)
+    if len(residuals) > RESIDUAL_CAP:
+        raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
+    return MonitorState(residuals, held)
 
 
 def verdict_of(state: MonitorState) -> Verdict:

@@ -47,6 +47,7 @@ from .terms import (
     Stop,
     Term,
     eval_event_set,
+    free_vars,
     is_closed,
     is_doomed,
     substitute,
@@ -196,7 +197,8 @@ def visible_successors(term: Term, event: str, alphabet: frozenset[str]) -> froz
 
 def _internal_successors(eng: Engine, term: Term) -> frozenset[Transition]:
     if not is_closed(term):
-        raise OpenTermError(f"term has free variables: {term!r}")
+        names = ", ".join(sorted(v.name for v in free_vars(term)))
+        raise OpenTermError(f"term has free variables: {names}")
     return frozenset(_successors(eng, term))
 
 

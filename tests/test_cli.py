@@ -74,10 +74,23 @@ class TestMonitorCommand:
         assert main(["monitor", spec, "--events", events_file(["zz"])]) == 2
         assert capsys.readouterr().err == "error: event 'zz' is not in the declared alphabet\n"
 
+    def test_out_of_alphabet_after_failure_exits_two(self, spec_file, events_file, capsys):
+        spec = spec_file("alphabet {a} process STOP")
+        assert main(["monitor", spec, "--events", events_file(["a", "zz"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == "1 a FAILED\n"
+        assert err == "error: event 'zz' is not in the declared alphabet\n"
+
     def test_strict_turns_mismatch_into_failure(self, spec_file, events_file):
         spec = spec_file("alphabet {a} process STOP")
         code = main(["monitor", spec, "--strict", "--events", events_file(["zz"])])
         assert code == 1
+
+    def test_strict_failure_absorbs_later_events(self, spec_file, events_file, capsys):
+        spec = spec_file("alphabet {a} process ?x:{a} -> STOP")
+        code = main(["monitor", spec, "--strict", "--events", events_file(["z", "a", "z"])])
+        assert code == 1
+        assert capsys.readouterr().out == "1 z FAILED\n2 a FAILED\n3 z FAILED\n"
 
     def test_stdin_stream(self, spec_file, capsys, monkeypatch):
         spec = spec_file("alphabet {a} process ?x:{a} -> STOP")

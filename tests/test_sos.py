@@ -74,6 +74,14 @@ class TestInternalSuccessors:
         with pytest.raises(OpenTermError):
             internal_successors(Prefix(Y, Literal((X,)), STOP), ab)
 
+    def test_deep_open_term_names_its_free_variables(self, ab):
+        # Naming the term itself would recurse once per node.
+        term = Choice(Prefix(X, Literal((Y,)), STOP), Prefix(Y, Literal((X,)), STOP))
+        for _ in range(2_000):
+            term = Choice(term, STOP)
+        with pytest.raises(OpenTermError, match=r"free variables: x, y$"):
+            internal_successors(term, ab)
+
 
 class TestTauClosure:
     def test_reflexive(self, ab):
