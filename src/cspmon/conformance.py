@@ -2,8 +2,9 @@
 
 The operational engine and the denotational evaluator are independent
 implementations of the same language; each check here computes a fact both
-ways and compares.  Failing checks report a counterexample, minimized by
-greedy subterm replacement.
+ways and compares.  Each check is a predicate on terms, which gives the
+verdict and drives the shrinker: a FAIL reports its counterexample,
+minimized by greedy subterm replacement.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def gen_term(cfg: GenConfig) -> Term:
 def gen_terms(cfg: GenConfig, count: int) -> Iterator[Term]:
     """A reproducible stream of terms: seeds seed, seed+1, ..."""
     for i in range(count):
-        yield gen_term(GenConfig(cfg.max_size, cfg.alphabet, cfg.seed + i))
+        yield _gen_term(random.Random(cfg.seed + i), cfg, cfg.max_size, ())
 
 
 def _gen_term(rng, cfg, budget, scope) -> Term:
@@ -134,7 +135,6 @@ class CheckReport:
     passed: bool
     seed: Optional[int] = None
     counterexample: Optional[str] = None
-    detail: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -145,18 +145,16 @@ class CheckReport:
 
 
 def _check(
-    prop: str, term: Term, seed: Optional[int], violation: Callable[[Term], Optional[str]]
+    prop: str, term: Term, seed: Optional[int], fails: Callable[[Term], bool]
 ) -> CheckReport:
-    """Report ``prop`` on ``term``; ``violation`` gives why a term breaks it, or None.
+    """Report ``prop`` on ``term``; ``fails`` tells whether a term breaks it.
 
     Each property is checked at the term's full depth, ``prefix_depth``: the
     language has no recursion, so that depth covers the whole trace set.
     """
-    detail = violation(term)
-    if detail is None:
+    if not fails(term):
         return CheckReport(prop, True, seed)
-    example = minimize_counterexample(term, lambda t: violation(t) is not None)
-    return CheckReport(prop, False, seed, print_term(example), detail)
+    return CheckReport(prop, False, seed, print_term(minimize_counterexample(term, fails)))
 
 
 def minimize_counterexample(term: Term, still_fails: Callable[[Term], bool]) -> Term:
@@ -198,15 +196,15 @@ def _shrink_candidates(term: Term) -> Iterator[Term]:
 # --- checks ---------------------------------------------------------------
 
 
-def operational_traces(
-    term: Term, depth: int, alphabet: frozenset[str]
-) -> frozenset[Trace]:
-    """Traces of length <= depth after which some viable term is reachable.
+def operational_traces(term: Term, alphabet: frozenset[str]) -> frozenset[Trace]:
+    """Traces of length <= ``prefix_depth(term)`` after which some viable
+    term is reachable; the bound also stops the walk on a faulty engine.
 
     Depth-first over (trace, reachable-term-set) pairs; dead traces (empty
     state sets) are dropped, which keeps the stack proportional to the
     actual trace set.
     """
+    depth = prefix_depth(term)
     out = set()
     stack = [(EPSILON, tau_closure(term, alphabet))]
     while stack:
@@ -226,13 +224,11 @@ def check_correspondence(
 ) -> CheckReport:
     """Denotational trace set == operationally emittable traces."""
 
-    def violation(t: Term) -> Optional[str]:
-        k = prefix_depth(t)
-        den = semantics(t, k, alphabet).traces
-        op = operational_traces(t, k, alphabet)
-        return None if den == op else f"denotational {sorted(den)} != operational {sorted(op)}"
+    def fails(t: Term) -> bool:
+        den = semantics(t, prefix_depth(t), alphabet).traces
+        return den != operational_traces(t, alphabet)
 
-    return _check("correspondence", term, seed, violation)
+    return _check("correspondence", term, seed, fails)
 
 
 def check_doomed_normalization(
@@ -240,13 +236,14 @@ def check_doomed_normalization(
 ) -> CheckReport:
     """Doomed terms only tau-step, shrink each step, and bottom out at FAIL."""
 
-    def violation(t: Term) -> Optional[str]:
-        return _doomed_violation(t, alphabet) if is_doomed(t) else None
+    def fails(t: Term) -> bool:
+        return is_doomed(t) and not _normalizes(t, alphabet)
 
-    return _check("doomed-normalization", term, seed, violation)
+    return _check("doomed-normalization", term, seed, fails)
 
 
-def _doomed_violation(term: Term, alphabet) -> Optional[str]:
+def _normalizes(term: Term, alphabet) -> bool:
+    """Every path from ``term`` tau-steps through shrinking doomed terms to FAIL."""
     seen = set()
     stack = [term]
     while stack:
@@ -255,19 +252,15 @@ def _doomed_violation(term: Term, alphabet) -> Optional[str]:
             continue
         seen.add(current)
         succs = internal_successors(current, alphabet)
-        if not succs:
-            if not isinstance(current, Fail):
-                return f"maximal path ends at non-FAIL term {print_term(current)}"
-            continue
+        if not succs and not isinstance(current, Fail):
+            return False
         for action, target in succs:
-            if action is not TAU:
-                return f"visible action {action} from doomed {print_term(current)}"
-            if not is_doomed(target):
-                return f"viable successor {print_term(target)}"
+            if action is not TAU or not is_doomed(target):
+                return False
             if term_size(target) >= term_size(current):
-                return f"size did not shrink: {print_term(current)} -> {print_term(target)}"
+                return False
             stack.append(target)
-    return None
+    return True
 
 
 def check_doomed_iff_empty(
@@ -275,13 +268,10 @@ def check_doomed_iff_empty(
 ) -> CheckReport:
     """A term is doomed exactly when its trace set is empty."""
 
-    def violation(t: Term) -> Optional[str]:
-        doomed = is_doomed(t)
-        if doomed != semantics(t, prefix_depth(t), alphabet).is_empty():
-            return "doomed, trace set not empty" if doomed else "viable, trace set empty"
-        return None
+    def fails(t: Term) -> bool:
+        return is_doomed(t) != semantics(t, prefix_depth(t), alphabet).is_empty()
 
-    return _check("doomed-iff-empty", term, seed, violation)
+    return _check("doomed-iff-empty", term, seed, fails)
 
 
 def check_derivative_decomposition(
@@ -289,15 +279,15 @@ def check_derivative_decomposition(
 ) -> CheckReport:
     """sem(P)(e) equals the union of sem(Q) over all Q reachable by e."""
 
-    def violation(t: Term) -> Optional[str]:
+    def fails(t: Term) -> bool:
         k = max(prefix_depth(t), 1)
         lhs = derive(semantics(t, k, alphabet), event).traces
         rhs: frozenset[Trace] = frozenset()
         for q in visible_successors(t, event, alphabet):
             rhs |= semantics(q, k - 1, alphabet).traces
-        return None if lhs == rhs else f"derivative {sorted(lhs)} != successors {sorted(rhs)}"
+        return lhs != rhs
 
-    return _check(f"derivative-decomposition[{event}]", term, seed, violation)
+    return _check(f"derivative-decomposition[{event}]", term, seed, fails)
 
 
 def check_continuity_instance(
@@ -316,8 +306,9 @@ def check_continuity_instance(
         parcomp(t1_prime, sync, t2, alphabet, depth)
     )
     ok = lhs.traces == rhs.traces
-    detail = "" if ok else f"lhs={sorted(lhs.traces)} rhs={sorted(rhs.traces)}"
-    return CheckReport("parcomp-continuity", ok, None, None if ok else detail, detail)
+    # No term to shrink, so the two sides are the counterexample.
+    example = None if ok else f"lhs={sorted(lhs.traces)} rhs={sorted(rhs.traces)}"
+    return CheckReport("parcomp-continuity", ok, None, example)
 
 
 def run_suite(

@@ -50,7 +50,7 @@ class OutOfAlphabetError(CspmonError):
 
 
 class ResidualOverflowError(CspmonError):
-    """The monitor's residual set exceeded its configured cap."""
+    """A monitor step reached more residuals than ``sos.RESIDUAL_CAP``."""
 
     def __init__(self, size: int, cap: int):
         super().__init__(f"residual set grew to {size} terms (cap {cap})")

@@ -13,7 +13,8 @@ state holds one residual per AC class (``sos.ac_classes``).  A state holds
 the ``sos.Engine`` of its alphabet, whose step memo maps a residual set and
 an event to the next residual set, so a warm stream costs one memo hit per
 event; once no state of an alphabet is left, its engine and memos are
-freed.
+freed.  The step enforces ``sos.RESIDUAL_CAP``, so a warm event pays no
+check for it.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import OutOfAlphabetError, ResidualOverflowError
+from .errors import OutOfAlphabetError
 from .sos import Engine, ac_classes, engine
 from .terms import Term, is_doomed
 from .traces import Trace
-
-# Most residuals a state may hold; feed raises ResidualOverflowError past it.
-RESIDUAL_CAP = 10**6
 
 
 class Verdict(enum.Enum):
@@ -68,8 +66,9 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     """Consume one event and return the updated state.
 
     Events outside the alphabet raise OutOfAlphabetError (an instrumentation
-    mismatch, not a verdict).  FAILED is absorbing: feeding a FAILED state
-    returns that same state.
+    mismatch, not a verdict), and a step past ``sos.RESIDUAL_CAP`` residuals
+    raises ResidualOverflowError.  FAILED is absorbing: feeding a FAILED
+    state returns that same state.
     """
     held = state.engine
     if event not in held.alphabet:
@@ -79,10 +78,7 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     # Loaded as an attribute, which CPython specializes for a slot; a
     # method call on a callable kept in a slot is looked up afresh.
     step = held.step
-    residuals = step(state.residuals, event)
-    if len(residuals) > RESIDUAL_CAP:
-        raise ResidualOverflowError(len(residuals), RESIDUAL_CAP)
-    return MonitorState(residuals, held)
+    return MonitorState(step(state.residuals, event), held)
 
 
 def verdict_of(state: MonitorState) -> Verdict:

@@ -25,7 +25,8 @@ equal modulo these laws are one class, and the first one reached stands for
 it (normalization modulo AC: Baader & Nipkow, *Term Rewriting and All
 That*, 1998).  Each kept residual is still a term this engine reaches.  The
 step memo caches residual sets as a lazy DFA caches its states (Cox,
-"Regular Expression Matching in the Wild", 2010).
+"Regular Expression Matching in the Wild", 2010); a step past
+``RESIDUAL_CAP`` residuals raises, so the memo never stores such a set.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import deque
 from functools import lru_cache, partial
 from types import SimpleNamespace
 
-from .errors import OpenTermError
+from .errors import OpenTermError, ResidualOverflowError
 from .syntax import print_term
 from .terms import (
     Choice,
@@ -75,6 +76,8 @@ Transition = tuple["str | Tau", Term]
 
 # Most (residual set, event) steps an engine's step memo keeps.
 STEP_MEMO_SIZE = 1 << 10
+# Most residuals a monitor step may reach; past it, ResidualOverflowError.
+RESIDUAL_CAP = 10**6
 # The memos an engine owns, by attribute name.
 _MEMOS = ("internal_successors", "tau_closure", "visible_successors", "step")
 
@@ -282,7 +285,11 @@ def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
 
 def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
     """The state a residual set reaches on ``event``, one residual per class."""
-    return ac_classes(advance(residuals, event, eng.alphabet))
+    # Raised here, not by the caller: lru_cache stores no call that raised.
+    reached = ac_classes(advance(residuals, event, eng.alphabet))
+    if len(reached) > RESIDUAL_CAP:
+        raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
+    return reached
 
 
 def ac_classes(terms) -> frozenset[Term]:

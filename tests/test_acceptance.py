@@ -57,9 +57,7 @@ class TestAcceptance:
         violations = 0
         for term in corpus:
             k = prefix_depth(term)
-            if semantics(term, k, ALPHABET).traces != operational_traces(
-                term, k, ALPHABET
-            ):
+            if semantics(term, k, ALPHABET).traces != operational_traces(term, ALPHABET):
                 violations += 1
         _verdict_line("theorem-correspondence", violations, f"{len(corpus)} terms")
 
@@ -212,7 +210,7 @@ def _mutant_detected(terms, engine: bool) -> str | None:
     """
     for term in terms:
         k = prefix_depth(term)
-        if semantics(term, k, ALPHABET).traces != operational_traces(term, k, ALPHABET):
+        if semantics(term, k, ALPHABET).traces != operational_traces(term, ALPHABET):
             return "theorem-correspondence"
         if engine and is_doomed(term) and not _doomed_paths_ok(term):
             return "doomed-normalization"

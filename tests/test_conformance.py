@@ -2,8 +2,12 @@
 
 import collections
 import hashlib
+import inspect
 import random
 
+import pytest
+
+from cspmon import sos
 from cspmon.conformance import (
     GenConfig,
     check_continuity_instance,
@@ -72,18 +76,18 @@ class TestGenTerm:
 class TestChecks:
     def test_correspondence_on_fail(self, ab):
         assert check_correspondence(FAIL, ab).passed
-        assert operational_traces(FAIL, 2, ab) == frozenset()
+        assert operational_traces(FAIL, ab) == frozenset()
 
     def test_correspondence_on_simple_prefix(self, ab):
         term = parse_term("?x:{a} -> STOP", ab)
-        assert operational_traces(term, 2, ab) == {(), ("a",)}
+        assert operational_traces(term, ab) == {(), ("a",)}
         assert check_correspondence(term, ab).passed
 
     def test_correspondence_synchronized_doom(self, ab):
         # After the synchronized a the composition is doomed, so a is not a
         # valid trace on either side.
         term = parse_term("?x:{a} -> STOP |[{a}]| ?x:{a} -> FAIL", ab)
-        assert operational_traces(term, 2, ab) == {()}
+        assert operational_traces(term, ab) == {()}
         assert check_correspondence(term, ab).passed
 
     def test_doomed_normalization_examples(self, ab):
@@ -115,6 +119,20 @@ class TestChecks:
             t2 = gen_prefix_closed(rng, ab, 3)
             assert check_continuity_instance(t1, t1p, frozenset("b"), t2, ab).passed
 
+    def test_terminates_on_an_engine_that_loops(self, ab, source_mutant):
+        # A prefix that steps to itself emits a forever; the walk stops at
+        # the term's prefix depth, so the check still ends, and FAILs.
+        loop = (
+            "out.append((e, substitute(Event(e), term.var, term.body)))",
+            "out.append((e, term))",
+        )
+        term = parse_term("?x:{a} -> ?y:{b} -> STOP", ab)
+        with source_mutant(sos, "_successors", loop):
+            assert operational_traces(term, ab) == {(), ("a",), ("a", "a")}
+            report = check_correspondence(term, ab)
+        assert not report.passed
+        assert report.counterexample == "?x:{a} -> FAIL"
+
     def test_run_suite_reports_one_line_per_property(self, ab):
         reports = run_suite([STOP, FAIL], ab, base_seed=9)
         lines = [r.line() for r in reports]
@@ -137,3 +155,51 @@ class TestMinimization:
 
         big = parse_term("?x:{a} -> (STOP [] (FAIL |[{a}]| ?y:{b} -> STOP))", ab)
         assert minimize_counterexample(big, has_fail) == FAIL
+
+
+# Every rule of the step function, ``sos._successors``, as the line that adds
+# it; a rule that a bare line would not name once carries its guard.
+STEP_RULES = {
+    "prefix": "out.append((e, substitute(Event(e), term.var, term.body)))",
+    "choice-left": "out.append((a, Choice(t, term.right) if a is TAU else t))",
+    "choice-right": "out.append((a, Choice(term.left, t) if a is TAU else t))",
+    "choice-both-fail": (
+        "if term.left is FAIL and term.right is FAIL:\n            out.append((TAU, FAIL))"
+    ),
+    "parallel-left": "out.append((a, Parallel(t, term.sync, term.right)))",
+    "parallel-right": "out.append((a, Parallel(term.left, term.sync, t)))",
+    "parallel-sync": "out.append((a, Parallel(left, term.sync, right)))",
+    "both-doomed-left": "out.append((TAU, Parallel(t, term.sync, term.right)))",
+    "both-doomed-right": "out.append((TAU, Parallel(term.left, term.sync, t)))",
+    "parallel-left-fail": "if term.left is FAIL:\n        out.append((TAU, FAIL))",
+    "parallel-right-fail": "if term.right is FAIL:\n        out.append((TAU, FAIL))",
+}
+# The rules that only doomed normalization sees: each one is a doomed
+# term's last step to FAIL, which moves no trace set.
+TO_FAIL_RULES = ("choice-both-fail", "parallel-left-fail", "parallel-right-fail")
+# Deleting either both-doomed rule moves no trace set and breaks no doomed
+# normalization, so no check sees it: the ``step`` listing pins them, in
+# test_cli.py::TestStepCommand::test_both_doomed_rules_change_the_listing.
+BOTH_DOOMED_RULES = ("both-doomed-left", "both-doomed-right")
+
+
+class TestStepRuleTable:
+    ALPHABET = frozenset({"a", "b", "c"})
+
+    def test_the_table_names_every_rule(self):
+        source = inspect.getsource(sos._successors)
+        assert source.count("out.append(") == len(STEP_RULES)
+        assert all(source.count(anchor) == 1 for anchor in STEP_RULES.values())
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # The first terms of the acceptance corpus.
+        return list(gen_terms(GenConfig(12, self.ALPHABET, seed=20240), 300))
+
+    @pytest.mark.parametrize("rule", [r for r in STEP_RULES if r not in BOTH_DOOMED_RULES])
+    def test_the_suite_catches_a_deleted_rule(self, rule, corpus, source_mutant):
+        with source_mutant(sos, "_successors", (STEP_RULES[rule], "pass")):
+            failed = {r.prop for r in run_suite(corpus, self.ALPHABET) if not r.passed}
+        assert failed
+        if rule in TO_FAIL_RULES:
+            assert "doomed-normalization" in failed

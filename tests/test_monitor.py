@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from cspmon import monitor, sos
+from cspmon import sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
 from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
@@ -120,12 +120,13 @@ class TestFeed:
         term = parse_term(
             "?x:{a} -> STOP [] ?x:{a} -> FAIL [] ?x:{a} -> ?y:{b} -> STOP", ab
         )
-        monkeypatch.setattr(monitor, "RESIDUAL_CAP", 1)
+        monkeypatch.setattr(sos, "RESIDUAL_CAP", 1)
         state = init_monitor(term, ab)
         state.engine.step.cache_clear()
-        for _ in range(2):  # a cold step memo, then a warm one
+        for _ in range(2):  # the over-cap step raises again, never memoized
             with pytest.raises(ResidualOverflowError):
                 feed(state, "a")
+        assert state.engine.step.cache_info().currsize == 0
 
 
 class TestVerdictCorrectness:
