@@ -23,10 +23,16 @@ Q`` for a fixed ``E`` is commutative and associative in trace semantics,
 ``P [] Q`` is also idempotent, and both laws preserve doomedness; residuals
 equal modulo these laws are one class, and the first one reached stands for
 it (normalization modulo AC: Baader & Nipkow, *Term Rewriting and All
-That*, 1998).  Each kept residual is still a term this engine reaches.  The
-step memo caches residual sets as a lazy DFA caches its states (Cox,
-"Regular Expression Matching in the Wild", 2010); a step past
-``RESIDUAL_CAP`` residuals raises, so the memo never stores such a set.
+That*, 1998).  Each kept residual is still a term this engine reaches.  A
+step keeps one viable target per class and closes only those: it
+normalizes before it expands, as partial derivatives expand only the
+derivatives they keep (Antimirov, TCS 1996).  That is sound because a tau
+step preserves doomedness, so a doomed target's closure is all doomed, and
+because AC-equal targets have equal trace sets, while the verdict depends
+only on the union of the residuals' trace sets.  The step memo caches
+residual sets as a lazy DFA caches its states (Cox, "Regular Expression
+Matching in the Wild", 2010); a step past ``RESIDUAL_CAP`` residuals
+raises, so the memo never stores such a set.
 """
 
 from __future__ import annotations
@@ -284,9 +290,27 @@ def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
 
 
 def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
-    """The state a residual set reaches on ``event``, one residual per class."""
+    """The state a residual set reaches on ``event``, one residual per class.
+
+    A step keeps one viable target per class and closes only those (sound
+    for the reasons the module docstring gives).  The union of the
+    residuals' trace sets is that of ``ac_classes(advance(residuals, event,
+    alphabet))``; the residual count may differ with which AC-equal target
+    comes first, as ``[]`` is idempotent only up to traces.
+    """
+    closure = eng.tau_closure
+    successors = eng.internal_successors
+    targets = ac_classes([
+        t
+        for s in residuals
+        for pre in closure(s)
+        for a, t in successors(pre)
+        if a == event and not t._doomed
+    ])
+    reached = frozenset().union(*map(closure, targets))
+    if len(reached) > len(targets):
+        reached = ac_classes(reached)
     # Raised here, not by the caller: lru_cache stores no call that raised.
-    reached = ac_classes(advance(residuals, event, eng.alphabet))
     if len(reached) > RESIDUAL_CAP:
         raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
     return reached

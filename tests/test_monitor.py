@@ -11,7 +11,7 @@ from cspmon import sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
 from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
-from cspmon.sos import STEP_MEMO_SIZE, _key, engine, run, tau_closure
+from cspmon.sos import STEP_MEMO_SIZE, _key, ac_classes, advance, engine, run, tau_closure
 from cspmon.syntax import parse_spec, parse_term
 from cspmon.terms import (
     Choice,
@@ -236,6 +236,45 @@ class TestACClasses:
         assert merged > 0
 
 
+class TestColdStep:
+    # ``[]`` is idempotent only up to traces once a side has tau-stepped: on
+    # ``a`` the step may keep fewer residuals than ac_classes(advance(...)),
+    # depending on which AC-equal target comes first, but never other traces.
+    X = "((FAIL |[{}]| STOP) [] ?y:{b} -> STOP)"
+    IDEMPOTENT_UP_TO_TRACES = (
+        f"?x:{{a}} -> (({X} [] {X}) [] ?z:{{b}} -> STOP) [] ?x:{{a}} -> ({X} [] ?z:{{b}} -> STOP)"
+    )
+
+    def test_agrees_with_the_closed_advance(self, abc):
+        rng = random.Random(81)
+        events = sorted(abc)
+        held = engine(abc)
+        cases = [(parse_term(self.IDEMPOTENT_UP_TO_TRACES, abc), ["a", "b"])]
+        for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=20240), 1_000):
+            cases.append((term, [rng.choice(events) for _ in range(rng.randint(1, 5))]))
+
+        def traces(residuals, k):
+            out = set()
+            for r in residuals:
+                out |= semantics(r, k, abc).traces
+            return out
+
+        steps = 0
+        for term, trace in cases:
+            k = prefix_depth(term)
+            residuals = init_monitor(term, abc).residuals
+            for event in trace:
+                if not residuals:
+                    break
+                reached = held.step(residuals, event)
+                expected = ac_classes(advance(residuals, event, abc))
+                assert bool(reached) == bool(expected), f"term={term} event={event}"
+                assert traces(reached, k) == traces(expected, k), f"term={term} event={event}"
+                residuals = reached
+                steps += 1
+        assert steps > 900
+
+
 class TestStepMemo:
     def test_warm_and_cold_agree(self, abc):
         rng = random.Random(80)
@@ -260,14 +299,15 @@ class TestStepMemo:
     def test_memo_is_bounded(self, ab):
         assert engine(ab).step.cache_info().maxsize == STEP_MEMO_SIZE
 
-    def test_warm_feed_does_not_advance(self, ab, monkeypatch):
+    def test_warm_feed_takes_no_cold_step(self, ab, monkeypatch):
         state = init_monitor(parse_term("?x:{a,b} -> ?y:{b} -> STOP", ab), ab)
         feed(state, "a")
 
         def unreachable(*args):
-            raise AssertionError("advance called on a warm step memo")
+            raise AssertionError("a cold step taken on a warm step memo")
 
-        monkeypatch.setattr(sos, "advance", unreachable)
+        # A cold step calls ac_classes at least once.
+        monkeypatch.setattr(sos, "ac_classes", unreachable)
         hits = state.engine.step.cache_info().hits
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING
         assert state.engine.step.cache_info().hits == hits + 1
@@ -314,13 +354,17 @@ class TestEngineLifetime:
         assert sos.tau_closure.cache_info().misses == misses + 1
 
 
+def _interleave_spec(a, b, chains, depth):
+    """As perfbench's ``interleave_spec`` builds it."""
+    chain = "STOP"
+    for _ in range(depth):
+        chain = f"(?x:{{{a},{b}}} -> {chain} [] ?x:{{{b}}} -> FAIL)"
+    return parse_spec(f"alphabet {{{a},{b}}} process " + " |[{}]| ".join([chain] * chains))
+
+
 class TestStateExplosion:
     def test_six_chain_interleaving_stays_small(self):
-        # As perfbench's interleave_spec("a", "b", 6, 5) builds it.
-        chain = "STOP"
-        for _ in range(5):
-            chain = f"(?x:{{a,b}} -> {chain} [] ?x:{{b}} -> FAIL)"
-        spec = parse_spec("alphabet {a,b} process " + " |[{}]| ".join([chain] * 6))
+        spec = _interleave_spec("a", "b", 6, 5)
         state = init_monitor(spec.root, spec.alphabet)
         sizes = [len(state.residuals)]
         for i in range(30):
@@ -329,3 +373,28 @@ class TestStateExplosion:
         assert verdict_of(state) is Verdict.RUNNING
         assert verdict_of(feed(state, "a")) is Verdict.FAILED
         assert max(sizes) <= 40
+
+    def test_cold_steps_close_no_doomed_target(self, monkeypatch):
+        # The engine binds _tau_closure when it is built: patched first, and
+        # with event names no other test uses, so that the engine is new.
+        closed = []
+        stock = sos._tau_closure
+
+        def recording(eng, term):
+            closed.append(term)
+            return stock(eng, term)
+
+        monkeypatch.setattr(sos, "_tau_closure", recording)
+        misses = sos.tau_closure.cache_info().misses
+        spec = _interleave_spec("explode_a", "explode_b", 6, 5)
+        events = [("explode_a", "explode_b")[i % 2] for i in range(32)]
+        # RUNNING for chains * depth events, FAILED from the next one on.
+        expected = [Verdict.RUNNING] * 30 + [Verdict.FAILED] * 2
+        state = init_monitor(spec.root, spec.alphabet)
+        for event, want in zip(events, expected):
+            state = feed(state, event)
+            assert verdict_of(state) is want
+        grown = sos.tau_closure.cache_info().misses - misses
+        assert len(closed) == grown > 0
+        assert not any(is_doomed(term) for term in closed)
+        assert grown <= 500
