@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .sos import TAU, advance, engine, internal_successors, tau_closure, visible_successors
+from .sos import TAU, _step, engine, internal_successors, visible_successors
 from .syntax import print_term
 from .terms import (
     Choice,
@@ -200,20 +200,26 @@ def operational_traces(term: Term, alphabet: frozenset[str]) -> frozenset[Trace]
     """Traces of length <= ``prefix_depth(term)`` after which some viable
     term is reachable; the bound also stops the walk on a faulty engine.
 
-    Depth-first over (trace, reachable-term-set) pairs; dead traces (empty
-    state sets) are dropped, which keeps the stack proportional to the
-    actual trace set.
+    Depth-first over (trace, residual set) pairs, stepped as the monitor
+    steps (``sos._step``), each step taken once per call.  Dead traces
+    (empty residual sets) are dropped, which keeps the stack proportional
+    to the actual trace set.
     """
+    if is_doomed(term):
+        return frozenset()
     depth = prefix_depth(term)
+    held = engine(alphabet)
+    steps = {}
     out = set()
-    stack = [(EPSILON, tau_closure(term, alphabet))]
+    stack = [(EPSILON, frozenset((term,)))]
     while stack:
         trace, states = stack.pop()
-        if any(not is_doomed(s) for s in states):
-            out.add(trace)
+        out.add(trace)
         if len(trace) < depth:
             for e in alphabet:
-                succ = advance(states, e, alphabet)
+                succ = steps.get((states, e))
+                if succ is None:
+                    succ = steps[states, e] = _step(held, states, e)
                 if succ:
                     stack.append((trace + (e,), succ))
     return frozenset(out)

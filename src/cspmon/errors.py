@@ -50,7 +50,11 @@ class OutOfAlphabetError(CspmonError):
 
 
 class ResidualOverflowError(CspmonError):
-    """A monitor step reached more residuals than ``sos.RESIDUAL_CAP``."""
+    """A monitor step reached more residuals than ``sos.RESIDUAL_CAP``.
+
+    Raised before the step is stored, so no state or edge of the engine's
+    lazy DFA ever holds such a set, and the same step raises again.
+    """
 
     def __init__(self, size: int, cap: int):
         super().__init__(f"residual set grew to {size} terms (cap {cap})")

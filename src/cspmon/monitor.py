@@ -5,25 +5,28 @@ could be in after the events consumed so far that can still accept the
 empty trace.  The verdict is derived from it: RUNNING while the set is
 non-empty, and FAILED (irrevocably) once it is empty, which is exactly when
 the consumed trace has strayed out of the specification's trace set.
-A state is its residuals and its engine, nothing more: it keeps no record
-of the events fed, so its memory does not grow with the stream.
+A state keeps no record of the events fed, so its memory does not grow
+with the stream.
 
 The verdict depends only on the union of the residuals' trace sets, so a
-state holds one residual per AC class (``sos.ac_classes``).  A state holds
-the ``sos.Engine`` of its alphabet, whose step memo maps a residual set and
-an event to the next residual set, so a warm stream costs one memo hit per
-event; once no state of an alphabet is left, its engine and memos are
-freed.  The step enforces ``sos.RESIDUAL_CAP``, so a warm event pays no
-check for it.
+state holds one residual per AC class (``sos.ac_classes``), and a step
+takes no tau step (``sos._step``).  A state is a node of a lazy DFA: the
+``sos.Engine`` of its alphabet, which the state holds, interns states by
+residual set, and each state's ``_next`` dict maps an event already fed to
+it to the next state, so a warm event is one dict lookup.  The engine
+flushes every edge past ``sos.EDGE_CAP`` new edges and states; once no
+state of an alphabet is left, its engine and memos are freed.  The step
+enforces ``sos.RESIDUAL_CAP`` before anything is stored.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import weakref
 
+from . import sos
 from .errors import OutOfAlphabetError
-from .sos import Engine, ac_classes, engine
+from .sos import Engine, engine
 from .terms import Term, is_doomed
 from .traces import Trace
 
@@ -33,12 +36,20 @@ class Verdict(enum.Enum):
     FAILED = "FAILED"
 
 
-@dataclass(slots=True)
 class MonitorState:
-    # One viable residual per AC class; empty exactly when the run has FAILED.
-    residuals: frozenset[Term]
-    # The engine of the spec's alphabet, held for as long as the state is.
-    engine: Engine
+    __slots__ = ("residuals", "engine", "_next", "__weakref__")
+
+    def __init__(self, residuals: frozenset[Term], engine: Engine):
+        # One viable residual per AC class; empty exactly when the run has FAILED.
+        self.residuals = residuals
+        # The engine of the spec's alphabet, held for as long as the state is.
+        self.engine = engine
+        # Event -> next state, for the events fed here since the last flush.
+        # Never holds an event outside the alphabet, nor any edge of FAILED.
+        self._next: dict[str, MonitorState] = {}
+
+    def __repr__(self):
+        return f"MonitorState(residuals={self.residuals!r}, engine={self.engine!r})"
 
     @property
     def verdict(self) -> Verdict:
@@ -49,17 +60,31 @@ class MonitorState:
         return self.engine.alphabet
 
 
+def _state(held: Engine, residuals: frozenset[Term]) -> MonitorState:
+    """The engine's state of ``residuals``, made if no live one exists."""
+    ref = held.states.get(residuals)
+    state = ref() if ref is not None else None
+    if state is None:
+        _spend(held)
+        state = MonitorState(residuals, held)
+        held.states[residuals] = weakref.ref(state)
+    return state
+
+
+def _spend(held: Engine) -> None:
+    """Count one new edge or state, flushing the DFA once the room is gone."""
+    if held.room <= 0:
+        sos._flush(held)
+    held.room -= 1
+
+
 def init_monitor(term: Term, alphabet: frozenset[str]) -> MonitorState:
     """Start monitoring a closed specification term.
 
     The initial verdict is FAILED exactly when the term is already doomed,
-    i.e. when even the empty trace is not permitted.  A tau step never
-    changes whether a term is doomed, so the tau closure of a viable term is
-    entirely viable.
+    i.e. when even the empty trace is not permitted.
     """
-    held = engine(alphabet)
-    residuals = frozenset() if is_doomed(term) else ac_classes(held.tau_closure(term))
-    return MonitorState(residuals, held)
+    return _state(engine(alphabet), frozenset() if is_doomed(term) else frozenset((term,)))
 
 
 def feed(state: MonitorState, event: str) -> MonitorState:
@@ -70,15 +95,18 @@ def feed(state: MonitorState, event: str) -> MonitorState:
     raises ResidualOverflowError.  FAILED is absorbing: feeding a FAILED
     state returns that same state.
     """
+    target = state._next.get(event)
+    if target is not None:
+        return target
     held = state.engine
     if event not in held.alphabet:
         raise OutOfAlphabetError(event)
     if not state.residuals:
         return state
-    # Loaded as an attribute, which CPython specializes for a slot; a
-    # method call on a callable kept in a slot is looked up afresh.
-    step = held.step
-    return MonitorState(step(state.residuals, event), held)
+    target = _state(held, sos._step(held, state.residuals, event))
+    _spend(held)
+    state._next[event] = target
+    return target
 
 
 def verdict_of(state: MonitorState) -> Verdict:

@@ -9,30 +9,37 @@ viable, so once a side is doomed the only applicable rules are the ones
 that push FAIL outward.
 
 An ``Engine`` holds one alphabet and owns that alphabet's memos: the
-successors, tau closure and visible successors of each term, and the
-monitor's step from a residual set on an event.  ``engine(alphabet)``
-returns the live engine of an alphabet.  A caller holds its engine for as
-long as it uses it (a monitor state holds its own), and once nothing holds
-an engine its memos are freed with it, as monitor state that nothing can
+successors, tau closure and visible successors of each term, each bounded,
+and the states of the monitor's lazy DFA.  ``engine(alphabet)`` returns
+the live engine of an alphabet.  A caller holds its engine for as long as
+it uses it (a monitor state holds its own), and once nothing holds an
+engine its memos are freed with it, as monitor state that nothing can
 reach is freed in Jin, Meredith, Griffith & Roşu, "Garbage Collection for
 Monitoring Parametric Properties" (PLDI 2011).  The module-level
 functions take the alphabet and call its engine.
 
-A step of the monitor keeps one viable residual per AC class.  ``P |[E]|
-Q`` for a fixed ``E`` is commutative and associative in trace semantics,
-``P [] Q`` is also idempotent, and both laws preserve doomedness; residuals
-equal modulo these laws are one class, and the first one reached stands for
-it (normalization modulo AC: Baader & Nipkow, *Term Rewriting and All
-That*, 1998).  Each kept residual is still a term this engine reaches.  A
-step keeps one viable target per class and closes only those: it
-normalizes before it expands, as partial derivatives expand only the
-derivatives they keep (Antimirov, TCS 1996).  That is sound because a tau
-step preserves doomedness, so a doomed target's closure is all doomed, and
-because AC-equal targets have equal trace sets, while the verdict depends
-only on the union of the residuals' trace sets.  The step memo caches
-residual sets as a lazy DFA caches its states (Cox, "Regular Expression
-Matching in the Wild", 2010); a step past ``RESIDUAL_CAP`` residuals
-raises, so the memo never stores such a set.
+The monitor and the conformance oracle take one step, ``_step``, and it
+takes no tau step.  Tau steps come only from the FAIL rules, and in a
+viable term they rewrite only doomed operands of a choice; a doomed term
+has no visible step and an empty trace set.  So a viable term's
+tau-successors have its trace set, and their visible targets differ from
+its own only by tau steps: the term's own visible steps reach everything
+the verdict needs.  That holds up to trace equality, which is all a
+verdict reads.
+
+A step keeps one viable target per AC class.  ``P |[E]| Q`` for a fixed
+``E`` is commutative and associative in trace semantics, ``P [] Q`` is
+also idempotent, and both laws preserve doomedness; targets equal modulo
+these laws are one class, and the first one reached stands for it
+(normalization modulo AC: Baader & Nipkow, *Term Rewriting and All That*,
+1998).  Each kept target is still a term this engine reaches: the step
+expands only what it keeps, as partial derivatives do (Antimirov, TCS
+1996).  The residual sets are the states of a lazy DFA, built on demand
+and cached as RE2 caches its states (Cox, "Regular Expression Matching in
+the Wild", 2010): the engine interns the monitor's states by residual set,
+each state keeps its own ``event -> state`` edges, and past ``EDGE_CAP``
+new edges and states the engine flushes every edge.  A step past
+``RESIDUAL_CAP`` residuals raises, so no such set is ever stored.
 """
 
 from __future__ import annotations
@@ -80,32 +87,42 @@ TAU = Tau()
 # A step of a term: the action it emits and the term it becomes.
 Transition = tuple["str | Tau", Term]
 
-# Most (residual set, event) steps an engine's step memo keeps.
-STEP_MEMO_SIZE = 1 << 10
+# Most entries each term memo of an engine keeps.
+TERM_MEMO_SIZE = 1 << 14
+# Most edges and new states an engine's DFA takes on between two flushes.
+EDGE_CAP = 1 << 14
 # Most residuals a monitor step may reach; past it, ResidualOverflowError.
 RESIDUAL_CAP = 10**6
 # The memos an engine owns, by attribute name.
-_MEMOS = ("internal_successors", "tau_closure", "visible_successors", "step")
+_MEMOS = ("internal_successors", "tau_closure", "visible_successors")
 
 
 class Engine:
-    """One alphabet's step relation, with a memo per function.
+    """One alphabet's step relation: a bounded memo per term function, and
+    the monitor's lazy DFA.
 
-    Each memo is an ``lru_cache`` keyed on the term (``step``: on the
-    residual set and the event), never on the alphabet.  The memos reach
-    their engine through a weak proxy, so an engine is in no reference
-    cycle and is freed as soon as nothing holds it.
+    Each memo is an ``lru_cache`` of ``TERM_MEMO_SIZE`` entries keyed on the
+    term (``visible_successors``: and the event), never on the alphabet.
+    The memos reach their engine through a weak proxy.  ``states`` maps a
+    residual set to a weak reference, without a callback, to the monitor
+    state of that set; a dead state's entry stays until the next flush.
+    A state holds its engine and its edges hold later states, never earlier
+    ones, so an engine is in no reference cycle and is freed as soon as
+    nothing holds it.  ``room`` counts the edges and states the DFA may
+    still take on before it is flushed.
     """
 
-    __slots__ = ("alphabet", *_MEMOS, "__weakref__")
+    __slots__ = ("alphabet", *_MEMOS, "states", "room", "__weakref__")
 
     def __init__(self, alphabet: frozenset[str]):
         me = weakref.proxy(self)
         self.alphabet = alphabet
-        self.internal_successors = lru_cache(maxsize=None)(partial(_internal_successors, me))
-        self.tau_closure = lru_cache(maxsize=None)(partial(_tau_closure, me))
-        self.visible_successors = lru_cache(maxsize=None)(partial(_visible_successors, me))
-        self.step = lru_cache(maxsize=STEP_MEMO_SIZE)(partial(_step, me))
+        memo = lru_cache(maxsize=TERM_MEMO_SIZE)
+        self.internal_successors = memo(partial(_internal_successors, me))
+        self.tau_closure = memo(partial(_tau_closure, me))
+        self.visible_successors = memo(partial(_visible_successors, me))
+        self.states: dict[frozenset[Term], weakref.ref] = {}
+        self.room = EDGE_CAP
         memos = {name: getattr(self, name) for name in _MEMOS}
         weakref.finalize(self, _retire, memos).atexit = False
 
@@ -160,12 +177,30 @@ def _memo_info(name: str) -> SimpleNamespace:
 
 
 def _clear_memos() -> None:
-    """Empty every memo of every live engine and zero the statistics."""
+    """Empty every memo of every live engine, flush its DFA and zero the
+    statistics."""
     for live in _engines.values():
         for name in _MEMOS:
             getattr(live, name).cache_clear()
+        _flush(live)
     for counts in _freed.values():
         counts[:] = [0, 0]
+
+
+def _flush(eng: Engine) -> None:
+    """Empty every live state's edges and forget the dead states.
+
+    Live states stay in the table, so that no later flush misses an edge
+    of theirs.
+    """
+    live = {}
+    for residuals, ref in eng.states.items():
+        state = ref()
+        if state is not None:
+            state._next.clear()
+            live[residuals] = ref
+    eng.states = live
+    eng.room = EDGE_CAP
 
 
 def _reports_on_memo(wrapper):
@@ -290,27 +325,18 @@ def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
 
 
 def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
-    """The state a residual set reaches on ``event``, one residual per class.
+    """The residual set that ``residuals`` reach on ``event``: the first
+    viable target of each AC class among the residuals' own steps.
 
-    A step keeps one viable target per class and closes only those (sound
-    for the reasons the module docstring gives).  The union of the
-    residuals' trace sets is that of ``ac_classes(advance(residuals, event,
-    alphabet))``; the residual count may differ with which AC-equal target
-    comes first, as ``[]`` is idempotent only up to traces.
+    Takes no tau step (sound for the reasons the module docstring gives).
+    The union of the residuals' trace sets after the event is that of
+    ``run``'s tau-closed states; the sets themselves differ.
     """
-    closure = eng.tau_closure
     successors = eng.internal_successors
-    targets = ac_classes([
-        t
-        for s in residuals
-        for pre in closure(s)
-        for a, t in successors(pre)
-        if a == event and not t._doomed
+    reached = ac_classes([
+        t for s in residuals for a, t in successors(s) if a == event and not t._doomed
     ])
-    reached = frozenset().union(*map(closure, targets))
-    if len(reached) > len(targets):
-        reached = ac_classes(reached)
-    # Raised here, not by the caller: lru_cache stores no call that raised.
+    # Raised here, before the caller stores the step anywhere.
     if len(reached) > RESIDUAL_CAP:
         raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
     return reached
@@ -361,23 +387,12 @@ def _key(term: Term):
 # --- runs over the memoized functions --------------------------------------------
 
 
-def advance(
-    states: frozenset[Term], event: str, alphabet: frozenset[str]
-) -> frozenset[Term]:
-    """All terms reachable from some term of ``states`` by emitting ``event``."""
-    visible = engine(alphabet).visible_successors
-    out = set()
-    for s in states:
-        out |= visible(s, event)
-    return frozenset(out)
-
-
 def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
-    """All terms reachable by emitting ``trace``."""
+    """All terms reachable by emitting ``trace``, every tau step taken."""
     held = engine(alphabet)
     states = held.tau_closure(term)
     for event in trace:
-        states = advance(states, event, held.alphabet)
+        states = frozenset().union(*[held.visible_successors(s, event) for s in states])
     return states
 
 

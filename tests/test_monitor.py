@@ -11,7 +11,7 @@ from cspmon import sos
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import OutOfAlphabetError, ResidualOverflowError
 from cspmon.monitor import Verdict, feed, feed_all, init_monitor, verdict_of
-from cspmon.sos import STEP_MEMO_SIZE, _key, ac_classes, advance, engine, run, tau_closure
+from cspmon.sos import _key, ac_classes, engine, run, visible_successors
 from cspmon.syntax import parse_spec, parse_term
 from cspmon.terms import (
     Choice,
@@ -47,6 +47,14 @@ def _run_operands(term, kind, sync=None):
     if isinstance(term, kind) and (sync is None or term.sync is sync):
         return _run_operands(term.left, kind, sync) + _run_operands(term.right, kind, sync)
     return [term]
+
+
+def _traces(terms, k, alphabet):
+    """The union of the terms' trace sets up to length ``k``."""
+    out = set()
+    for term in terms:
+        out |= semantics(term, k, alphabet).traces
+    return out
 
 
 def _reassociate(rng, operands, join):
@@ -111,6 +119,7 @@ class TestFeed:
         assert retained < 1_000_000
         assert state is failed
         assert all(feed(failed, e) is failed for e in ("a", "b"))
+        assert failed._next == {}
 
     def test_out_of_alphabet_raises(self, ab):
         with pytest.raises(OutOfAlphabetError):
@@ -122,11 +131,13 @@ class TestFeed:
         )
         monkeypatch.setattr(sos, "RESIDUAL_CAP", 1)
         state = init_monitor(term, ab)
-        state.engine.step.cache_clear()
-        for _ in range(2):  # the over-cap step raises again, never memoized
+        sos._flush(state.engine)
+        table = dict(state.engine.states)
+        for _ in range(2):  # the over-cap step raises again, never stored
             with pytest.raises(ResidualOverflowError):
                 feed(state, "a")
-        assert state.engine.step.cache_info().currsize == 0
+        assert state._next == {}
+        assert state.engine.states == table
 
 
 class TestVerdictCorrectness:
@@ -160,8 +171,9 @@ class TestVerdictCorrectness:
                 for r in state.residuals:
                     assert r in reachable
 
-    # On ``a``, the tau successor ``FAIL [] ?y:{b} -> STOP`` of one residual
-    # may be absent: its class is held by ``?y:{b} -> STOP [] FAIL``.
+    # On ``a``, ``run`` also reaches ``FAIL [] ?y:{b} -> STOP``, a tau
+    # successor of one target, which the monitor does not keep: a state is
+    # not tau-closed, only trace-equal to the states ``run`` reaches.
     TAU_SUCCESSOR_IN_ANOTHER_FORM = (
         "?x:{a} -> ((FAIL |[{}]| STOP) [] ?y:{b} -> STOP) "
         "[] ?x:{a} -> (?y:{b} -> STOP [] FAIL)"
@@ -174,15 +186,16 @@ class TestVerdictCorrectness:
         for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=53), 200):
             cases.append((term, [rng.choice(events) for _ in range(rng.randint(1, 5))]))
         for term, trace in cases:
-            states = [init_monitor(term, abc)]
-            for event in trace:
-                states.append(feed(states[-1], event))
-            for state in states:
+            k = prefix_depth(term)
+            state = init_monitor(term, abc)
+            for i in range(len(trace) + 1):
+                if i:
+                    state = feed(state, trace[i - 1])
                 assert (verdict_of(state) is Verdict.RUNNING) == bool(state.residuals)
-                classes = {_key(s) for s in state.residuals}
-                for r in state.residuals:
-                    assert not is_doomed(r)
-                    assert {_key(t) for t in tau_closure(r, abc)} <= classes
+                assert not any(is_doomed(r) for r in state.residuals)
+                reached = run(term, tuple(trace[:i]), abc)
+                held = _traces(state.residuals, k, abc)
+                assert held == _traces(reached, k, abc), f"term={term} trace={trace[:i]}"
 
 
 class TestACClasses:
@@ -238,8 +251,9 @@ class TestACClasses:
 
 class TestColdStep:
     # ``[]`` is idempotent only up to traces once a side has tau-stepped: on
-    # ``a`` the step may keep fewer residuals than ac_classes(advance(...)),
-    # depending on which AC-equal target comes first, but never other traces.
+    # ``a`` the step may keep fewer residuals than the AC classes of the
+    # residuals' tau-closed visible successors, depending on which AC-equal
+    # target comes first, but never other traces.
     X = "((FAIL |[{}]| STOP) [] ?y:{b} -> STOP)"
     IDEMPOTENT_UP_TO_TRACES = (
         f"?x:{{a}} -> (({X} [] {X}) [] ?z:{{b}} -> STOP) [] ?x:{{a}} -> ({X} [] ?z:{{b}} -> STOP)"
@@ -253,12 +267,6 @@ class TestColdStep:
         for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=20240), 1_000):
             cases.append((term, [rng.choice(events) for _ in range(rng.randint(1, 5))]))
 
-        def traces(residuals, k):
-            out = set()
-            for r in residuals:
-                out |= semantics(r, k, abc).traces
-            return out
-
         steps = 0
         for term, trace in cases:
             k = prefix_depth(term)
@@ -266,13 +274,43 @@ class TestColdStep:
             for event in trace:
                 if not residuals:
                     break
-                reached = held.step(residuals, event)
-                expected = ac_classes(advance(residuals, event, abc))
+                reached = sos._step(held, residuals, event)
+                expected = ac_classes(
+                    frozenset().union(*[visible_successors(r, event, abc) for r in residuals])
+                )
                 assert bool(reached) == bool(expected), f"term={term} event={event}"
-                assert traces(reached, k) == traces(expected, k), f"term={term} event={event}"
+                same = _traces(reached, k, abc) == _traces(expected, k, abc)
+                assert same, f"term={term} event={event}"
                 residuals = reached
                 steps += 1
         assert steps > 900
+
+
+def _edges(state):
+    """The number of edges stored in the DFA reachable from ``state``."""
+    seen = {state}
+    stack = [state]
+    count = 0
+    while stack:
+        node = stack.pop()
+        count += len(node._next)
+        for target in node._next.values():
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return count
+
+
+def _sessions_spec(names, sync, rounds):
+    """As perfbench's ``sessions_spec`` builds it."""
+    comps = []
+    for e in names:
+        body = "STOP"
+        for _ in range(rounds):
+            body = f"?x:{{{e}}} -> ?y:{{{sync}}} -> {body}"
+        comps.append(f"({body})")
+    alphabet = ",".join(names + [sync])
+    return parse_spec(f"alphabet {{{alphabet}}} process " + f" |[{{{sync}}}]| ".join(comps))
 
 
 class TestStepMemo:
@@ -283,34 +321,59 @@ class TestStepMemo:
             (term, [rng.choice(events) for _ in range(rng.randint(1, 5))])
             for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=56), 200)
         ]
+        # Held, so that the edges fed from them stay for the warm pass.
+        starts = [init_monitor(term, abc) for term, _ in cases]
 
         def outcomes():
             out = []
-            for term, trace in cases:
-                state = feed_all(init_monitor(term, abc), trace)
+            for start, (_, trace) in zip(starts, cases):
+                state = feed_all(start, trace)
                 out.append((verdict_of(state), {_key(r) for r in state.residuals}))
             return out
 
         cold = outcomes()
+        assert sum(map(_edges, starts)) > 0
         assert outcomes() == cold  # warm
-        engine(abc).step.cache_clear()
+        sos._flush(engine(abc))
+        assert all(start._next == {} for start in starts)
         assert outcomes() == cold
 
-    def test_memo_is_bounded(self, ab):
-        assert engine(ab).step.cache_info().maxsize == STEP_MEMO_SIZE
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(sos, "EDGE_CAP", 8)
+        chain = "STOP"
+        for _ in range(30):
+            chain = f"?x:{{bounded_a}} -> {chain}"
+        spec = parse_spec("alphabet {bounded_a} process " + chain)
+        start = init_monitor(spec.root, spec.alphabet)
+        state = start
+        for _ in range(30):
+            state = feed(state, "bounded_a")
+            assert _edges(start) <= 8 and 0 <= start.engine.room <= 8
+        assert verdict_of(state) is Verdict.RUNNING
+        assert verdict_of(feed(state, "bounded_a")) is Verdict.FAILED
 
     def test_warm_feed_takes_no_cold_step(self, ab, monkeypatch):
         state = init_monitor(parse_term("?x:{a,b} -> ?y:{b} -> STOP", ab), ab)
-        feed(state, "a")
+        first = feed_all(state, ["a", "b"])
 
         def unreachable(*args):
-            raise AssertionError("a cold step taken on a warm step memo")
+            raise AssertionError("a cold step taken on a warm edge")
 
-        # A cold step calls ac_classes at least once.
-        monkeypatch.setattr(sos, "ac_classes", unreachable)
-        hits = state.engine.step.cache_info().hits
-        assert verdict_of(feed(state, "a")) is Verdict.RUNNING
-        assert state.engine.step.cache_info().hits == hits + 1
+        monkeypatch.setattr(sos, "_step", unreachable)
+        assert feed_all(state, ["a", "b"]) is first
+        assert verdict_of(first) is Verdict.RUNNING
+        assert state._next["a"]._next["b"] is first
+
+    def test_no_edge_for_an_event_outside_the_alphabet_or_from_failed(self, ab):
+        state = init_monitor(parse_term("?x:{a} -> STOP", ab), ab)
+        failed = feed(state, "b")
+        for held in (state, failed):
+            for _ in range(2):
+                with pytest.raises(OutOfAlphabetError):
+                    feed(held, "zz")
+        assert feed(failed, "a") is failed
+        assert list(state._next) == ["b"]
+        assert failed._next == {}
 
     def test_source_mutant_reaches_a_warm_memo(self, ab, source_mutant):
         state = init_monitor(parse_term("?x:{a} -> STOP", ab), ab)
@@ -321,6 +384,49 @@ class TestStepMemo:
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING
 
 
+class TestEdgeCap:
+    def _verdicts(self, monkeypatch, cap, tag):
+        """Verdicts of a 6x5 interleave session and of 12 interleaved
+        sessions on a sessions-shaped spec, on a fresh engine under ``cap``.
+
+        Every flush is checked to leave only live states in the table.
+        """
+        monkeypatch.setattr(sos, "EDGE_CAP", cap)
+        stock = sos._flush
+        flushes = []
+
+        def checked(eng):
+            stock(eng)
+            flushes.append(eng)
+            assert all(ref() is not None for ref in eng.states.values())
+
+        monkeypatch.setattr(sos, "_flush", checked)
+        out = []
+        a, b = f"cap{tag}_a", f"cap{tag}_b"
+        spec = _interleave_spec(a, b, 6, 5)
+        state = init_monitor(spec.root, spec.alphabet)
+        for i in range(32):
+            state = feed(state, (a, b)[i % 2])
+            out.append(verdict_of(state))
+        names = [f"cap{tag}_e{i}" for i in range(3)]
+        sync = f"cap{tag}_s"
+        spec = _sessions_spec(names, sync, 4)
+        rng = random.Random(82)
+        sessions = [init_monitor(spec.root, spec.alphabet) for _ in range(12)]
+        for _ in range(20):
+            for i, session in enumerate(sessions):
+                sessions[i] = feed(session, rng.choice(names + [sync] * 2))
+                out.append(verdict_of(sessions[i]))
+        return out, len(flushes)
+
+    def test_a_small_cap_gives_the_same_verdicts(self, monkeypatch):
+        default, _ = self._verdicts(monkeypatch, sos.EDGE_CAP, "default")
+        small, flushes = self._verdicts(monkeypatch, 8, "small")
+        assert small == default
+        assert Verdict.RUNNING in default and Verdict.FAILED in default
+        assert flushes >= 2
+
+
 class TestEngineLifetime:
     def test_dropped_states_free_their_engine(self):
         # Another alphabet's engine, held throughout, becomes the one engine()
@@ -328,30 +434,52 @@ class TestEngineLifetime:
         other = engine(frozenset({"lifetime_other"}))
         gc.collect()
         before = sos.internal_successors.cache_info().currsize
-        depth = STEP_MEMO_SIZE + 100
+        depth = 200
         chain = "STOP"
         for _ in range(depth):
             chain = f"?x:{{lifetime_a}} -> {chain}"
         spec = parse_spec("alphabet {lifetime_a} process " + chain)
-        state = feed_all(init_monitor(spec.root, spec.alphabet), ["lifetime_a"] * depth)
+        start = init_monitor(spec.root, spec.alphabet)
+        state = feed_all(start, ["lifetime_a"] * depth)
         assert verdict_of(state) is Verdict.RUNNING
         assert sos.internal_successors.cache_info().currsize > before
-        # A step memo entry per event, but only the most recent ones kept.
-        assert state.engine.step.cache_info().currsize == STEP_MEMO_SIZE
+        # A state per event, each reached by an edge of the one before it.
+        assert len(state.engine.states) == depth + 1
+        assert _edges(start) == depth
         freed = weakref.ref(state.engine)
-        del state
+        del state, start
         assert engine(other.alphabet) is other
         gc.collect()
         assert freed() is None
         assert sos.internal_successors.cache_info().currsize == before
 
+    def test_engine_is_in_no_reference_cycle(self):
+        other = engine(frozenset({"cycle_other"}))
+        spec = _interleave_spec("cycle_a", "cycle_b", 3, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            start = init_monitor(spec.root, spec.alphabet)
+            state = feed_all(start, ["cycle_a", "cycle_b"] * 5)
+            assert verdict_of(state) is Verdict.FAILED
+            freed = weakref.ref(state.engine)
+            assert engine(other.alphabet) is other
+            del state, start
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_statistics_outlive_the_engine(self):
-        misses = sos.tau_closure.cache_info().misses
-        init_monitor(parse_term("?x:{lifetime_b} -> STOP", frozenset({"lifetime_b"})),
-                     frozenset({"lifetime_b"}))
+        alphabet = frozenset({"lifetime_b"})
+        misses = sos.internal_successors.cache_info().misses
+        state = init_monitor(parse_term("?x:{lifetime_b} -> STOP", alphabet), alphabet)
+        assert verdict_of(feed(state, "lifetime_b")) is Verdict.RUNNING
+        freed = weakref.ref(state.engine)
+        del state
         engine(frozenset({"lifetime_other"}))
         gc.collect()
-        assert sos.tau_closure.cache_info().misses == misses + 1
+        assert freed() is None
+        assert sos.internal_successors.cache_info().misses == misses + 1
 
 
 def _interleave_spec(a, b, chains, depth):
@@ -377,6 +505,7 @@ class TestStateExplosion:
     def test_cold_steps_close_no_doomed_target(self, monkeypatch):
         # The engine binds _tau_closure when it is built: patched first, and
         # with event names no other test uses, so that the engine is new.
+        # A monitor step takes no tau step, so the monitor closes nothing.
         closed = []
         stock = sos._tau_closure
 
@@ -394,7 +523,5 @@ class TestStateExplosion:
         for event, want in zip(events, expected):
             state = feed(state, event)
             assert verdict_of(state) is want
-        grown = sos.tau_closure.cache_info().misses - misses
-        assert len(closed) == grown > 0
-        assert not any(is_doomed(term) for term in closed)
-        assert grown <= 500
+        assert closed == []
+        assert sos.tau_closure.cache_info().misses == misses

@@ -3,11 +3,10 @@
 import pytest
 
 from cspmon import sos, traces
-from cspmon.conformance import GenConfig, gen_terms
+from cspmon.conformance import GenConfig, gen_terms, run_suite
 from cspmon.errors import OpenTermError
 from cspmon.sos import (
     TAU,
-    advance,
     internal_successors,
     reachable_transitions,
     run,
@@ -120,12 +119,31 @@ class TestRun:
     def test_stop_emits_nothing(self, ab):
         assert run(Prefix(X, literal("a"), STOP), ("a", "b"), ab) == frozenset()
 
-    def test_advance_unions_visible_successors(self, ab):
+    def test_run_unions_visible_successors(self, ab):
         left = Prefix(X, literal("a"), STOP)
         right = Prefix(X, literal("a", "b"), FAIL)
-        assert advance(frozenset({left, right}), "a", ab) == {STOP, FAIL}
-        assert advance(frozenset({left, right}), "b", ab) == {FAIL}
-        assert advance(frozenset(), "a", ab) == frozenset()
+        term = Choice(left, right)
+        for event in ("a", "b"):
+            expected = visible_successors(left, event, ab) | visible_successors(right, event, ab)
+            assert run(term, (event,), ab) == visible_successors(term, event, ab) == expected
+        assert run(term, ("a",), ab) == {STOP, FAIL}
+        assert run(term, ("b",), ab) == {FAIL}
+        assert run(term, ("b", "a"), ab) == frozenset()
+
+
+class TestTermMemos:
+    def test_every_memo_is_bounded(self, monkeypatch):
+        # Event names no other test uses, so that the engine is new and
+        # built under the patched size.
+        monkeypatch.setattr(sos, "TERM_MEMO_SIZE", 64)
+        alphabet = frozenset({"bound_a", "bound_b", "bound_c"})
+        held = sos.engine(alphabet)
+        terms = list(gen_terms(GenConfig(max_size=8, alphabet=alphabet, seed=45), 300))
+        reports = run_suite(terms, alphabet)
+        assert reports and all(report.passed for report in reports)
+        for name in sos._MEMOS:
+            info = getattr(held, name).cache_info()
+            assert info.maxsize == 64 and 0 < info.currsize <= 64, name
 
 
 class TestInvariants:
