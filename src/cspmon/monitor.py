@@ -10,10 +10,12 @@ with the stream.
 
 The verdict depends only on the union of the residuals' trace sets, so a
 state holds one residual per AC class (``sos.ac_classes``), and a step
-takes no tau step (``sos._step``).  A state is a node of a lazy DFA: the
-``sos.Engine`` of its alphabet, which the state holds, interns states by
-residual set, and each state's ``_next`` dict maps an event already fed to
-it to the next state, so a warm event is one dict lookup.  The engine
+takes no tau step (``sos._step``).  A cold step reads the engine's step
+memo on the fed event alone, so it builds no target of any other event.
+A state is a node of a lazy DFA: the ``sos.Engine`` of its alphabet, which
+the state holds, interns states by residual set, and each state's
+``_next`` dict maps an event already fed to it to the next state, so a
+warm event is one dict lookup.  The engine
 flushes every edge past ``sos.EDGE_CAP`` new edges and states; once no
 state of an alphabet is left, its engine and memos are freed.  The step
 enforces ``sos.RESIDUAL_CAP`` before anything is stored.

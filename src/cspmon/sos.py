@@ -9,14 +9,22 @@ viable, so once a side is doomed the only applicable rules are the ones
 that push FAIL outward.
 
 An ``Engine`` holds one alphabet and owns that alphabet's memos: the
-successors, tau closure and visible successors of each term, each bounded,
-and the states of the monitor's lazy DFA.  ``engine(alphabet)`` returns
-the live engine of an alphabet.  A caller holds its engine for as long as
-it uses it (a monitor state holds its own), and once nothing holds an
-engine its memos are freed with it, as monitor state that nothing can
-reach is freed in Jin, Meredith, Griffith & Roşu, "Garbage Collection for
-Monitoring Parametric Properties" (PLDI 2011).  The module-level
-functions take the alphabet and call its engine.
+targets of a term's steps on one action, the tau closure and the visible
+successors of each term, each bounded, and the states of the monitor's
+lazy DFA.  ``engine(alphabet)`` returns the live engine of an alphabet.  A
+caller holds its engine for as long as it uses it (a monitor state holds
+its own), and once nothing holds an engine its memos are freed with it, as
+monitor state that nothing can reach is freed in Jin, Meredith, Griffith &
+Roşu, "Garbage Collection for Monitoring Parametric Properties" (PLDI
+2011).  The module-level functions take the alphabet and call its engine.
+
+The engine steps a term on one action at a time: its one step memo,
+``internal_successors(term, action)``, holds the targets of the term's
+steps on that action, as a partial derivative holds a regular expression's
+derivative by one letter (Antimirov, TCS 1996).  A composite term's entry is
+built from its components' entries for the same action, so a monitor fed
+an event builds only that event's targets.  The monitor, the oracle and the
+raw relation's checks read the same entries.
 
 The monitor and the conformance oracle take one step, ``_step``, and it
 takes no tau step.  Tau steps come only from the FAIL rules, and in a
@@ -32,9 +40,7 @@ A step keeps one viable target per AC class.  ``P |[E]| Q`` for a fixed
 also idempotent, and both laws preserve doomedness; targets equal modulo
 these laws are one class, and the first one reached stands for it
 (normalization modulo AC: Baader & Nipkow, *Term Rewriting and All That*,
-1998).  Each kept target is still a term this engine reaches: the step
-expands only what it keeps, as partial derivatives do (Antimirov, TCS
-1996).  The residual sets are the states of a lazy DFA, built on demand
+1998).  The residual sets are the states of a lazy DFA, built on demand
 and cached as RE2 caches its states (Cox, "Regular Expression Matching in
 the Wild", 2010): the engine interns the monitor's states by residual set,
 each state keeps its own ``event -> state`` edges, and past ``EDGE_CAP``
@@ -54,15 +60,11 @@ from .syntax import print_term
 from .terms import (
     Choice,
     Event,
-    Fail,
     FAIL,
     Parallel,
     Prefix,
-    Stop,
     Term,
-    eval_event_set,
     free_vars,
-    is_closed,
     is_doomed,
     substitute,
 )
@@ -102,7 +104,8 @@ class Engine:
     the monitor's lazy DFA.
 
     Each memo is an ``lru_cache`` of ``TERM_MEMO_SIZE`` entries keyed on the
-    term (``visible_successors``: and the event), never on the alphabet.
+    term (``internal_successors``: and the action, ``visible_successors``:
+    and the event), never on the alphabet.
     The memos reach their engine through a weak proxy.  ``states`` maps a
     residual set to a weak reference, without a callback, to the monitor
     state of that set; a dead state's entry stays until the next flush.
@@ -213,8 +216,12 @@ def _reports_on_memo(wrapper):
 
 @_reports_on_memo
 def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Transition]:
-    """All one-step ``(action, target)`` pairs of a closed term, deduplicated."""
-    return engine(alphabet).internal_successors(term)
+    """All one-step ``(action, target)`` pairs of a closed term, deduplicated.
+
+    The union of the engine's entries for each event and for TAU.
+    """
+    steps = engine(alphabet).internal_successors
+    return frozenset((a, t) for a in (*alphabet, TAU) for t in steps(term, a))
 
 
 @_reports_on_memo
@@ -239,103 +246,101 @@ def visible_successors(term: Term, event: str, alphabet: frozenset[str]) -> froz
 # --- the engine's memoized functions ------------------------------------------
 
 
-def _internal_successors(eng: Engine, term: Term) -> frozenset[Transition]:
-    if not is_closed(term):
+def _internal_successors(eng: Engine, term: Term, action) -> tuple[Term, ...]:
+    if term._free:
         names = ", ".join(sorted(v.name for v in free_vars(term)))
         raise OpenTermError(f"term has free variables: {names}")
-    return frozenset(_successors(eng, term))
+    return _successors(eng, term, action)
 
 
-def _successors(eng: Engine, term: Term):
-    # A component's steps come from the memo: residuals that share a
-    # component compute its steps once.  TAU is in no sync set.
+def _successors(eng: Engine, term: Term, action) -> tuple[Term, ...]:
+    # The targets of the term's steps on ``action``, an event of the
+    # alphabet or TAU, one line per rule, each target once: the sync rule
+    # pairs its operands' entries, so a duplicate in each would multiply
+    # along a chain of parallels.  A composite term's entry comes from its
+    # components' entries for the same action, so residuals that share a
+    # component compute its steps once.  TAU is in no event set.  Loops,
+    # not comprehensions: a comprehension is a call of its own before
+    # Python 3.12, and a cold step makes several per entry.
+    steps = eng.internal_successors
+    tau = action is TAU
     out = []
-    if isinstance(term, (Stop, Fail)):
-        return out
-    if isinstance(term, Prefix):
-        for e in sorted(eval_event_set(term.events, eng.alphabet)):
-            out.append((e, substitute(Event(e), term.var, term.body)))
-        return out
-    if isinstance(term, Choice):
-        for a, t in eng.internal_successors(term.left):
-            out.append((a, Choice(t, term.right) if a is TAU else t))
-        for a, t in eng.internal_successors(term.right):
-            out.append((a, Choice(term.left, t) if a is TAU else t))
-        if term.left is FAIL and term.right is FAIL:
-            out.append((TAU, FAIL))
-        return out
-    assert isinstance(term, Parallel)
-    sync = eval_event_set(term.sync, eng.alphabet)
-    left_doomed = is_doomed(term.left)
-    right_doomed = is_doomed(term.right)
-    left_steps = eng.internal_successors(term.left)
-    right_steps = eng.internal_successors(term.right)
-    # Independent progress outside the sync set, gated on the sibling's
-    # viability.
-    if not right_doomed:
-        for a, t in left_steps:
-            if a not in sync:
-                out.append((a, Parallel(t, term.sync, term.right)))
-    if not left_doomed:
-        for a, t in right_steps:
-            if a not in sync:
-                out.append((a, Parallel(term.left, term.sync, t)))
-    # Synchronized step: both sides viable, both emit the same sync event.
-    if not left_doomed and not right_doomed:
-        for a, left in left_steps:
-            if a in sync:
-                for b, right in right_steps:
-                    if b == a:
-                        out.append((a, Parallel(left, term.sync, right)))
-    # Both sides doomed: either may keep propagating internally.
-    if left_doomed and right_doomed:
-        for a, t in left_steps:
-            if a is TAU:
-                out.append((TAU, Parallel(t, term.sync, term.right)))
-        for a, t in right_steps:
-            if a is TAU:
-                out.append((TAU, Parallel(term.left, term.sync, t)))
-    # FAIL absorbs the whole composition.
-    if term.left is FAIL:
-        out.append((TAU, FAIL))
-    if term.right is FAIL:
-        out.append((TAU, FAIL))
-    return out
+    kind = type(term)
+    if kind is Prefix:
+        events = term.events
+        if not tau and (action in events._names) != events._complement:
+            out.append(substitute(Event(action), term.var, term.body))
+    elif kind is Choice:
+        left, right = term.left, term.right
+        for t in steps(left, action):
+            out.append(Choice(t, right) if tau else t)
+        for t in steps(right, action):
+            out.append(Choice(left, t) if tau else t)
+        if tau and left is FAIL and right is FAIL:
+            out.append(FAIL)
+    elif kind is Parallel:
+        left, sync, right = term.left, term.sync, term.right
+        left_doomed, right_doomed = left._doomed, right._doomed
+        if tau or (action in sync._names) == sync._complement:
+            # Independent progress outside the sync set, gated on the
+            # sibling's viability.
+            if not right_doomed:
+                for t in steps(left, action):
+                    out.append(Parallel(t, sync, right))
+            if not left_doomed:
+                for t in steps(right, action):
+                    out.append(Parallel(left, sync, t))
+        elif not left_doomed and not right_doomed:
+            # Synchronized step: both sides viable, both emit the event.
+            for l in steps(left, action):
+                for r in steps(right, action):
+                    out.append(Parallel(l, sync, r))
+        # Both sides doomed: either may keep propagating internally.
+        if tau and left_doomed and right_doomed:
+            for t in steps(left, TAU):
+                out.append(Parallel(t, sync, right))
+            for t in steps(right, TAU):
+                out.append(Parallel(left, sync, t))
+        # FAIL absorbs the whole composition.
+        if tau and left is FAIL:
+            out.append(FAIL)
+        if tau and right is FAIL:
+            out.append(FAIL)
+    return tuple(dict.fromkeys(out))
 
 
 def _tau_closure(eng: Engine, term: Term) -> frozenset[Term]:
     seen = {term}
     frontier = [term]
     while frontier:
-        current = frontier.pop()
-        for a, t in eng.internal_successors(current):
-            if a is TAU and t not in seen:
+        for t in eng.internal_successors(frontier.pop(), TAU):
+            if t not in seen:
                 seen.add(t)
                 frontier.append(t)
     return frozenset(seen)
 
 
 def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
+    if event not in eng.alphabet:
+        return frozenset()
     out = set()
     for pre in eng.tau_closure(term):
-        for a, t in eng.internal_successors(pre):
-            if a == event:
-                out |= eng.tau_closure(t)
+        for t in eng.internal_successors(pre, event):
+            out |= eng.tau_closure(t)
     return frozenset(out)
 
 
 def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
-    """The residual set that ``residuals`` reach on ``event``: the first
-    viable target of each AC class among the residuals' own steps.
+    """The residual set that ``residuals`` reach on ``event``, an event of
+    the alphabet: the first viable target of each AC class among the
+    residuals' own steps on it.
 
     Takes no tau step (sound for the reasons the module docstring gives).
     The union of the residuals' trace sets after the event is that of
     ``run``'s tau-closed states; the sets themselves differ.
     """
     successors = eng.internal_successors
-    reached = ac_classes([
-        t for s in residuals for a, t in successors(s) if a == event and not t._doomed
-    ])
+    reached = ac_classes([t for s in residuals for t in successors(s, event) if not t._doomed])
     # Raised here, before the caller stores the step anywhere.
     if len(reached) > RESIDUAL_CAP:
         raise ResidualOverflowError(len(reached), RESIDUAL_CAP)
@@ -403,13 +408,12 @@ def reachable_transitions(
 
     Each source's steps are ordered by action name, then by printed target.
     """
-    steps_of = engine(alphabet).internal_successors
     seen = {term}
     queue = deque([term])
     out = []
     while queue:
         source = queue.popleft()
-        steps = steps_of(source)
+        steps = internal_successors(source, alphabet)
         for action, target in sorted(steps, key=lambda s: (str(s[0]), print_term(s[1]))):
             out.append((source, action, target))
             if target not in seen:

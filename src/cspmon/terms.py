@@ -11,8 +11,10 @@ already exists returns the existing object.  Equality is therefore identity,
 and each node's hash is computed once, from its children's stored hashes, so
 the caches of the transition engine look terms up in O(1) however deep they
 are.  Free variables, doomedness, prefix depth and size are stored the same
-way, so reading one never walks the term.  Constructors take their fields
-positionally.
+way, so reading one never walks the term, and so is a set expression's value
+(see ``_set_value``).  Each distinct set of free variables or of event names
+is stored once and shared by every node that has it.  Constructors take
+their fields positionally.
 """
 
 from __future__ import annotations
@@ -56,6 +58,12 @@ class _Interned(type):
 
 _set = object.__setattr__  # past the frozen dataclasses' own __setattr__
 _NO_VARS = frozenset()  # the free variables of every closed node
+_sets: dict[frozenset, frozenset] = {}  # each distinct non-empty stored set, once
+
+
+def _shared(items: frozenset) -> frozenset:
+    """The one stored object equal to ``items``."""
+    return _sets.setdefault(items, items) if items else _NO_VARS
 
 
 class _Node(metaclass=_Interned):
@@ -103,28 +111,65 @@ class EventVar(_Node):
 EventParam = Union[Event, EventVar]
 
 
+class _SetExpr(_Node):
+    """A set expression, which stores its value over every alphabet at once.
+
+    A closed expression over literals and ``Sigma`` denotes ``N & Sigma`` or
+    ``Sigma - N`` for a finite name set ``N``, whatever the alphabet
+    ``Sigma`` is: ``_names`` is ``N`` and ``_complement`` tells the two apart.
+    """
+
+    __slots__ = ("_names", "_complement")
+
+
 @_hashconsed
-class Literal(_Node):
+class Literal(_SetExpr):
     """An explicit, possibly empty, list of events and variables."""
 
     params: tuple[EventParam, ...]
 
     def _derive(self):
-        _set(self, "_free", frozenset(p for p in self.params if type(p) is EventVar) or _NO_VARS)
+        params = self.params
+        _set(self, "_free", _shared(frozenset(p for p in params if type(p) is EventVar)))
+        _set(self, "_names", _shared(frozenset(p.name for p in params if type(p) is Event)))
+        _set(self, "_complement", False)
 
 
 @_hashconsed
-class FullAlphabet(_Node):
+class FullAlphabet(_SetExpr):
     """The whole declared alphabet (written ``Sigma`` in spec files)."""
 
-    _free = _NO_VARS
+    _free, _names, _complement = _NO_VARS, _NO_VARS, True
 
 
-class _SetOperation(_Node):
+class _SetOperation(_SetExpr):
     __slots__ = ()
 
     def _derive(self):
-        _set(self, "_free", self.left._free | self.right._free or _NO_VARS)
+        left, right = self.left, self.right
+        _set(self, "_free", _shared(left._free | right._free))
+        names, complement = _set_value(type(self).__name__, left._names, left._complement,
+                                       right._names, right._complement)
+        _set(self, "_names", _shared(names))
+        _set(self, "_complement", complement)
+
+
+def _set_value(op: str, n: frozenset, c: bool, m: frozenset, d: bool) -> tuple[frozenset, bool]:
+    """The value ``(names, complement)`` of ``L op R``, where L's is ``(n, c)``
+    and R's is ``(m, d)``: one case per operator and pair of flags."""
+    match op, c, d:
+        case "SetUnion", False, False: return n | m, False
+        case "SetUnion", False, True: return m - n, True
+        case "SetUnion", True, False: return n - m, True
+        case "SetUnion", True, True: return n & m, True
+        case "SetIntersection", False, False: return n & m, False
+        case "SetIntersection", False, True: return n - m, False
+        case "SetIntersection", True, False: return m - n, False
+        case "SetIntersection", True, True: return n | m, True
+        case "SetDifference", False, False: return n - m, False
+        case "SetDifference", False, True: return n & m, False
+        case "SetDifference", True, False: return n | m, True
+        case "SetDifference", True, True: return m - n, False
 
 
 @_hashconsed
@@ -180,7 +225,7 @@ class Prefix(_Node):
 
     def _derive(self):
         body = self.body
-        self._store(self.events._free | (body._free - {self.var}) or _NO_VARS, False,
+        self._store(_shared(self.events._free | (body._free - {self.var})), False,
                     body._depth + 1, body._size + 1)
 
 
@@ -193,7 +238,7 @@ class Choice(_Node):
 
     def _derive(self):
         left, right = self.left, self.right
-        self._store(left._free | right._free or _NO_VARS, left._doomed and right._doomed,
+        self._store(_shared(left._free | right._free), left._doomed and right._doomed,
                     max(left._depth, right._depth), left._size + right._size + 1)
 
 
@@ -207,7 +252,7 @@ class Parallel(_Node):
 
     def _derive(self):
         left, right = self.left, self.right
-        free = left._free | self.sync._free | right._free or _NO_VARS
+        free = _shared(left._free | self.sync._free | right._free)
         self._store(free, left._doomed or right._doomed,
                     left._depth + right._depth, left._size + right._size + 1)
 
@@ -224,22 +269,13 @@ FAIL = Fail()
 def eval_event_set(expr: EventSetExpr, alphabet: frozenset[str]) -> frozenset[str]:
     """Evaluate a closed set expression to a concrete subset of the alphabet.
 
-    A variable in ``expr`` (one ``substitute`` has not filled in) raises
+    One set operation on the value the expression stores.  A variable in
+    ``expr`` (one ``substitute`` has not filled in) raises
     UnboundVariableError naming it.
     """
-    if isinstance(expr, Literal):
-        if expr._free:
-            raise UnboundVariableError(next(p.name for p in expr.params if p in expr._free))
-        return frozenset(p.name for p in expr.params) & alphabet
-    if isinstance(expr, FullAlphabet):
-        return alphabet
-    left = eval_event_set(expr.left, alphabet)
-    right = eval_event_set(expr.right, alphabet)
-    if isinstance(expr, SetUnion):
-        return left | right
-    if isinstance(expr, SetIntersection):
-        return left & right
-    return left - right
+    if expr._free:
+        raise UnboundVariableError(min(v.name for v in expr._free))
+    return alphabet - expr._names if expr._complement else expr._names & alphabet
 
 
 def _subst_set(e: Event, x: EventVar, expr: EventSetExpr) -> EventSetExpr:

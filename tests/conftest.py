@@ -3,8 +3,8 @@
 The oracles here deliberately avoid the production code paths they check:
 doomed classification is re-derived by naive grammar matching, the other
 facts each node stores (free variables, prefix depth, size) by recursive
-walks, and the parallel trace operator by brute-force merging of trace
-pairs.  The
+walks, set expressions by Python's own set operations, and the parallel
+trace operator by brute-force merging of trace pairs.  The
 ``source_mutant`` fixture builds mutants for mutation testing by editing
 the source of a shipped function, so the package itself carries no
 mutation switches.
@@ -27,6 +27,9 @@ from cspmon.terms import (
     Literal,
     Parallel,
     Prefix,
+    SetDifference,
+    SetIntersection,
+    SetUnion,
     Stop,
     Term,
 )
@@ -110,6 +113,23 @@ def free_vars_by_walk(node) -> frozenset[EventVar]:
     if isinstance(node, Parallel):
         out |= free_vars_by_walk(node.sync)
     return out
+
+
+def set_by_reference(expr, alphabet: frozenset[str], env=None) -> set[str]:
+    """A set expression's events within ``alphabet``, each variable read
+    from ``env`` (a dict from variable to event name)."""
+    if isinstance(expr, FullAlphabet):
+        return set(alphabet)
+    if isinstance(expr, Literal):
+        return {env[p] if isinstance(p, EventVar) else p.name for p in expr.params} & alphabet
+    left = set_by_reference(expr.left, alphabet, env)
+    right = set_by_reference(expr.right, alphabet, env)
+    if isinstance(expr, SetUnion):
+        return left | right
+    if isinstance(expr, SetIntersection):
+        return left & right
+    assert isinstance(expr, SetDifference)
+    return left - right
 
 
 def prefix_depth_by_walk(term: Term) -> int:

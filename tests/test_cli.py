@@ -166,8 +166,8 @@ state: FAIL |[{}]| FAIL
     @pytest.mark.parametrize(
         "rule",
         [
-            "out.append((TAU, Parallel(t, term.sync, term.right)))",
-            "out.append((TAU, Parallel(term.left, term.sync, t)))",
+            "for t in steps(left, TAU):\n                out.append(Parallel(t, sync, right))",
+            "for t in steps(right, TAU):\n                out.append(Parallel(left, sync, t))",
         ],
         ids=["left", "right"],
     )
@@ -485,6 +485,29 @@ class TestResourceErrors:
         assert out.splitlines() == [f"{i} a RUNNING" for i in range(1, 3003)] + [
             "3003 a FAILED"
         ]
+
+    @pytest.mark.parametrize(
+        "command, extra, code, out",
+        [
+            ("monitor", ["--events"], 1, "1 a RUNNING\n2 a FAILED\n"),
+            ("traces", ["--depth", "1"], 0, "\na\n"),
+            ("check", ["--count", "0"], 0, "".join(
+                f"PASS {prop} 0\n" for prop in ("correspondence", "doomed-normalization",
+                                                 "doomed-iff-empty", "derivative-decomposition[a]",
+                                                 "derivative-decomposition[b]"))),
+        ],
+        ids=["monitor", "traces", "check"],
+    )
+    def test_deep_set_expression(self, command, extra, code, out, spec_file, events_file,
+                                 capsys):
+        # A set expression stores its value when it is built, so reading it
+        # takes no recursion.  ``step`` still prints the set recursively.
+        operands = " u ".join(["{a}"] * 5_000)
+        spec = spec_file(f"alphabet {{a,b}} process ?x:{operands} -> STOP")
+        if command == "monitor":
+            extra = extra + [events_file(["a", "a"])]
+        assert main([command, spec, *extra]) == code
+        assert capsys.readouterr() == (out, "")
 
     def test_wide_parallel_under_traces(self, spec_file, capsys):
         spec = spec_file("alphabet {a} process " + " |[{}]| ".join(["STOP"] * 5000))

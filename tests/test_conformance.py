@@ -122,10 +122,7 @@ class TestChecks:
     def test_terminates_on_an_engine_that_loops(self, ab, source_mutant):
         # A prefix that steps to itself emits a forever; the walk stops at
         # the term's prefix depth, so the check still ends, and FAILs.
-        loop = (
-            "out.append((e, substitute(Event(e), term.var, term.body)))",
-            "out.append((e, term))",
-        )
+        loop = ("out.append(substitute(Event(action), term.var, term.body))", "out.append(term)")
         term = parse_term("?x:{a} -> ?y:{b} -> STOP", ab)
         with source_mutant(sos, "_successors", loop):
             assert operational_traces(term, ab) == {(), ("a",), ("a", "a")}
@@ -158,21 +155,30 @@ class TestMinimization:
 
 
 # Every rule of the step function, ``sos._successors``, as the line that adds
-# it; a rule that a bare line would not name once carries its guard.
+# its targets; a rule that a bare line would not name once carries its guard
+# or its loop header.
 STEP_RULES = {
-    "prefix": "out.append((e, substitute(Event(e), term.var, term.body)))",
-    "choice-left": "out.append((a, Choice(t, term.right) if a is TAU else t))",
-    "choice-right": "out.append((a, Choice(term.left, t) if a is TAU else t))",
+    "prefix": "out.append(substitute(Event(action), term.var, term.body))",
+    "choice-left": "out.append(Choice(t, right) if tau else t)",
+    "choice-right": "out.append(Choice(left, t) if tau else t)",
     "choice-both-fail": (
-        "if term.left is FAIL and term.right is FAIL:\n            out.append((TAU, FAIL))"
+        "if tau and left is FAIL and right is FAIL:\n            out.append(FAIL)"
     ),
-    "parallel-left": "out.append((a, Parallel(t, term.sync, term.right)))",
-    "parallel-right": "out.append((a, Parallel(term.left, term.sync, t)))",
-    "parallel-sync": "out.append((a, Parallel(left, term.sync, right)))",
-    "both-doomed-left": "out.append((TAU, Parallel(t, term.sync, term.right)))",
-    "both-doomed-right": "out.append((TAU, Parallel(term.left, term.sync, t)))",
-    "parallel-left-fail": "if term.left is FAIL:\n        out.append((TAU, FAIL))",
-    "parallel-right-fail": "if term.right is FAIL:\n        out.append((TAU, FAIL))",
+    "parallel-left": (
+        "for t in steps(left, action):\n                    out.append(Parallel(t, sync, right))"
+    ),
+    "parallel-right": (
+        "for t in steps(right, action):\n                    out.append(Parallel(left, sync, t))"
+    ),
+    "parallel-sync": "out.append(Parallel(l, sync, r))",
+    "both-doomed-left": (
+        "for t in steps(left, TAU):\n                out.append(Parallel(t, sync, right))"
+    ),
+    "both-doomed-right": (
+        "for t in steps(right, TAU):\n                out.append(Parallel(left, sync, t))"
+    ),
+    "parallel-left-fail": "if tau and left is FAIL:\n            out.append(FAIL)",
+    "parallel-right-fail": "if tau and right is FAIL:\n            out.append(FAIL)",
 }
 # The rules that only doomed normalization sees: each one is a doomed
 # term's last step to FAIL, which moves no trace set.

@@ -285,6 +285,20 @@ class TestColdStep:
                 steps += 1
         assert steps > 900
 
+    def test_a_cold_feed_builds_only_the_fed_events_targets(self):
+        # A chain steps to FAIL on b alone (``[] ?x:{b} -> FAIL``), so the
+        # root's targets on b with FAIL in place of a chain are the b-only
+        # ones.  Fresh names, so that no other test built them.
+        a, b = "only_a", "only_b"
+        spec = _interleave_spec(a, b, 3, 6)
+        inner, sync, chain = spec.root.left, spec.root.sync, spec.root.right
+        on_b_only = [(FAIL, sync, chain), (chain, sync, FAIL), (inner, sync, FAIL)]
+        start = init_monitor(spec.root, spec.alphabet)
+        assert verdict_of(feed(start, a)) is Verdict.RUNNING
+        assert [args in Parallel._table for args in on_b_only] == [False] * 3
+        assert verdict_of(feed(start, b)) is Verdict.RUNNING
+        assert [args in Parallel._table for args in on_b_only] == [True] * 3
+
 
 def _edges(state):
     """The number of edges stored in the DFA reachable from ``state``."""
@@ -378,7 +392,7 @@ class TestStepMemo:
     def test_source_mutant_reaches_a_warm_memo(self, ab, source_mutant):
         state = init_monitor(parse_term("?x:{a} -> STOP", ab), ab)
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING
-        prefix_steps = "out.append((e, substitute(Event(e), term.var, term.body)))"
+        prefix_steps = "out.append(substitute(Event(action), term.var, term.body))"
         with source_mutant(sos, "_successors", (prefix_steps, "pass")):
             assert verdict_of(feed(state, "a")) is Verdict.FAILED
         assert verdict_of(feed(state, "a")) is Verdict.RUNNING

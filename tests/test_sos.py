@@ -17,10 +17,12 @@ from cspmon.terms import (
     Choice,
     EventVar,
     FAIL,
+    FullAlphabet,
     Literal,
     Parallel,
     Prefix,
     STOP,
+    SetDifference,
     is_doomed,
     literal,
     term_size,
@@ -69,6 +71,15 @@ class TestInternalSuccessors:
             ("b", Parallel(Prefix(X, literal("a"), STOP), literal("a"), STOP)),
         }
 
+    def test_a_sync_chain_lists_each_target_once(self, ab):
+        # Both branches of every component step to STOP on ``a``.  Were the
+        # target listed twice, the sync rule would build 2**12 copies of it.
+        component = Choice(Prefix(X, literal("a"), STOP), Prefix(Y, literal("a"), STOP))
+        term = component
+        for _ in range(11):
+            term = Parallel(term, literal("a"), component)
+        assert len(sos.engine(ab).internal_successors(term, "a")) == 1
+
     def test_open_term_rejected(self, ab):
         with pytest.raises(OpenTermError):
             internal_successors(Prefix(Y, Literal((X,)), STOP), ab)
@@ -107,6 +118,13 @@ class TestVisibleSuccessors:
             Prefix(X, literal("a"), STOP), Prefix(X, literal("a"), FAIL)
         )
         assert visible_successors(term, "a", ab) == {STOP, FAIL}
+
+    def test_no_step_on_an_event_outside_the_alphabet(self, ab):
+        # Sigma, and a literal naming the event, range over the alphabet only.
+        for events in (FullAlphabet(), SetDifference(FullAlphabet(), literal("a")), literal("z")):
+            term = Prefix(X, events, STOP)
+            assert visible_successors(term, "z", ab) == frozenset()
+            assert run(term, ("z",), ab) == frozenset()
 
 
 class TestRun:
@@ -201,7 +219,7 @@ class TestInvariants:
 
 class TestSourceMutant:
     @pytest.mark.parametrize(
-        "anchor, count", [("if never_there:", 0), ("for a, t in left_steps:", 2)]
+        "anchor, count", [("if never_there:", 0), ("if tau and left is FAIL", 2)]
     )
     def test_anchor_must_occur_exactly_once(self, source_mutant, anchor, count):
         with pytest.raises(ValueError, match=f"occurs {count} times"):

@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import pickle
+from contextlib import contextmanager
 
 import pytest
 
+from cspmon import terms
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import UnboundVariableError
 from cspmon.terms import (
@@ -23,6 +25,7 @@ from cspmon.terms import (
     SetIntersection,
     SetUnion,
     Stop,
+    _subst_set,
     eval_event_set,
     free_vars,
     is_closed,
@@ -36,6 +39,7 @@ from conftest import (
     doomed_by_grammar,
     free_vars_by_walk,
     prefix_depth_by_walk,
+    set_by_reference,
     term_size_by_walk,
 )
 
@@ -227,6 +231,120 @@ def _has_vars(expr):
     return bool(free_vars(expr))
 
 
+SET_OPERATIONS = (SetUnion, SetIntersection, SetDifference)
+
+
+def _set_exprs(leaves, depth):
+    """Every set expression over ``leaves`` nesting at most ``depth`` operations."""
+    exprs = list(leaves)
+    for _ in range(depth):
+        exprs = leaves + [op(l, r) for op in SET_OPERATIONS for l in exprs for r in exprs]
+    return exprs
+
+
+def _leaves(names):
+    """``{}``, ``{a}``, ``{a,b}``, ... up to all of ``names``, and ``Sigma``."""
+    literals = [Literal(tuple(Event(n) for n in names[:i])) for i in range(len(names) + 1)]
+    return literals + [FullAlphabet()]
+
+
+def _closed_set_mismatches(leaves, names):
+    """The set expressions up to depth 2 over ``leaves`` whose value differs
+    from the reference's on the alphabet ``names`` or on its first two."""
+    exprs = _set_exprs(leaves, 2)
+    return [
+        expr
+        for alphabet in (frozenset(names), frozenset(names[:2]))
+        for expr in exprs
+        if eval_event_set(expr, alphabet) != set_by_reference(expr, alphabet)
+    ]
+
+
+@contextmanager
+def _new_sets_forgotten():
+    """On exit, take the set expressions interned inside the block out of
+    the intern tables, so that no value a mutant stored outlives it."""
+    tables = [cls._table for cls in (Literal, *SET_OPERATIONS)]
+    sizes = [len(table) for table in tables]
+    try:
+        yield
+    finally:
+        for table, size in zip(tables, sizes):
+            for key in list(table)[size:]:
+                del table[key]
+
+
+def _substituted_set_mismatches():
+    """The pairs ``(expr, e)``, ``expr`` a set expression up to depth 2 over
+    ``{x}``, ``{a,x}`` and ``Sigma``, and ``e`` an event of ``{a,b,c}``, on
+    which ``expr`` with ``x`` filled in by ``_subst_set`` evaluates otherwise
+    than the reference does under ``x = e``."""
+    abc = frozenset("abc")
+    leaves = [Literal((X,)), Literal((A, X)), FullAlphabet()]
+    out = []
+    for expr in _set_exprs(leaves, 2):
+        for e in sorted(abc):
+            filled = _subst_set(Event(e), X, expr)
+            try:
+                wrong = eval_event_set(filled, abc) != set_by_reference(expr, abc, {X: e})
+            except UnboundVariableError:
+                wrong = True
+            if wrong:
+                out.append((expr, e))
+    return out
+
+
+# The cases of ``terms._set_value``, one line each, as (case, result).
+SET_VALUE_CASES = [
+    ('"SetUnion", False, False', "n | m, False"),
+    ('"SetUnion", False, True', "m - n, True"),
+    ('"SetUnion", True, False', "n - m, True"),
+    ('"SetUnion", True, True', "n & m, True"),
+    ('"SetIntersection", False, False', "n & m, False"),
+    ('"SetIntersection", False, True', "n - m, False"),
+    ('"SetIntersection", True, False', "m - n, False"),
+    ('"SetIntersection", True, True', "n | m, True"),
+    ('"SetDifference", False, False', "n - m, False"),
+    ('"SetDifference", False, True', "n & m, False"),
+    ('"SetDifference", True, False', "n | m, True"),
+    ('"SetDifference", True, True', "m - n, False"),
+]
+# Edits of ``terms._subst_set``, each of which fills in a wrong set.
+SUBST_SET_MUTANTS = {
+    "literal-fills-every-param": ("e if p == x else p", "e"),
+    "operation-becomes-union": ("type(expr)(", "SetUnion("),
+    "right-operand-left-open": ("_subst_set(e, x, expr.right)", "expr.right"),
+}
+
+
+class TestSetReference:
+    def test_closed_sets_match_the_reference(self):
+        # 19,280 expressions over {}, {a}, {a,b}, {a,b,c} and Sigma.
+        assert _closed_set_mismatches(_leaves("abc"), "abc") == []
+
+    def test_substituted_sets_match_the_reference(self):
+        assert _substituted_set_mismatches() == []
+
+    @pytest.mark.parametrize("case", range(len(SET_VALUE_CASES)))
+    def test_reference_catches_a_case_given_another_result(self, case, source_mutant):
+        # Case ``case`` gets the next case's result.  A node keeps the value
+        # it was built with, so the check runs on names no other node has,
+        # over {}, {a} and Sigma, and the nodes built go with the mutant.
+        head, result = SET_VALUE_CASES[case]
+        wrong = SET_VALUE_CASES[(case + 1) % len(SET_VALUE_CASES)][1]
+        names = tuple(f"case{case}_{n}" for n in "abc")
+        edit = (f"case {head}: return {result}", f"case {head}: return {wrong}")
+        with _new_sets_forgotten(), source_mutant(terms, "_set_value", edit):
+            assert _closed_set_mismatches(_leaves(names[:1]), names)
+        with _new_sets_forgotten():
+            assert _closed_set_mismatches(_leaves(names[:1]), names) == []
+
+    @pytest.mark.parametrize("edit", SUBST_SET_MUTANTS.values(), ids=SUBST_SET_MUTANTS)
+    def test_reference_catches_a_wrong_substitution(self, edit, source_mutant):
+        with source_mutant(terms, "_subst_set", edit):
+            assert _substituted_set_mismatches()
+
+
 class TestIsDoomed:
     def test_fail_is_doomed(self):
         assert is_doomed(FAIL)
@@ -278,6 +396,15 @@ class TestFreeVars:
 
     def test_open_term(self):
         assert free_vars(Prefix(Y, Literal((X,)), STOP)) == {X}
+
+    def test_equal_free_variables_are_one_set(self):
+        first = free_vars(Literal((X, A, Y)))
+        second = free_vars(
+            Choice(Prefix(Z, Literal((Y,)), STOP), Parallel(STOP, Literal((X,)), STOP))
+        )
+        assert first == {X, Y} and first is second
+        closed = Prefix(Y, literal("a"), Prefix(Z, Literal((Y,)), STOP))
+        assert free_vars(closed) is free_vars(STOP)
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["term", "set"])
     def test_every_node_agrees_with_walk_oracle(self, kind, corpus_nodes):
