@@ -61,12 +61,6 @@ class GenConfig:
         assert self.max_size >= 1 and self.alphabet
 
 
-def gen_term(cfg: GenConfig) -> Term:
-    """A pseudo-random closed term of size <= max_size; pure in the config."""
-    rng = random.Random(cfg.seed)
-    return _gen_term(rng, cfg, cfg.max_size, ())
-
-
 def gen_terms(cfg: GenConfig, count: int) -> Iterator[Term]:
     """A reproducible stream of terms: seeds seed, seed+1, ..."""
     for i in range(count):
@@ -323,7 +317,6 @@ def run_suite(
     base_seed: int = 0,
 ) -> list[CheckReport]:
     """All per-term checks over a corpus, reported one line per property."""
-    held = engine(alphabet)  # for the whole corpus, so its memos stay warm
     reports = []
     for i, term in enumerate(terms):
         seed = base_seed + i

@@ -8,15 +8,16 @@ composition, a component may act on its own only while the other side is
 viable, so once a side is doomed the only applicable rules are the ones
 that push FAIL outward.
 
-An ``Engine`` holds one alphabet and owns that alphabet's memos: the
-targets of a term's steps on one action, the tau closure and the visible
-successors of each term, each bounded, and the states of the monitor's
-lazy DFA.  ``engine(alphabet)`` returns the live engine of an alphabet.  A
-caller holds its engine for as long as it uses it (a monitor state holds
-its own), and once nothing holds an engine its memos are freed with it, as
-monitor state that nothing can reach is freed in Jin, Meredith, Griffith &
-Roşu, "Garbage Collection for Monitoring Parametric Properties" (PLDI
-2011).  The module-level functions take the alphabet and call its engine.
+An ``Engine`` holds one alphabet and owns what the monitor reads of it:
+the bounded step memo and the states of the monitor's lazy DFA.
+``engine(alphabet)`` returns the live engine of an alphabet.  A monitor
+state holds its engine, and once nothing holds an engine its memo is freed
+with it, as monitor state that nothing can reach is freed in Jin,
+Meredith, Griffith & Roşu, "Garbage Collection for Monitoring Parametric
+Properties" (PLDI 2011).  The module-level functions take the alphabet
+and call its engine.  ``tau_closure`` and ``visible_successors``, which
+only ``run`` and the raw relation's checks read, are process-wide
+``lru_cache``s of ``TERM_MEMO_SIZE`` entries each, over the step memo.
 
 The engine steps a term on one action at a time: its one step memo,
 ``internal_successors(term, action)``, holds the targets of the term's
@@ -89,45 +90,39 @@ TAU = Tau()
 # A step of a term: the action it emits and the term it becomes.
 Transition = tuple["str | Tau", Term]
 
-# Most entries each term memo of an engine keeps.
+# Most entries each term memo keeps: an engine's step memo, and the tau
+# closure and visible successors.
 TERM_MEMO_SIZE = 1 << 14
 # Most edges and new states an engine's DFA takes on between two flushes.
 EDGE_CAP = 1 << 14
 # Most residuals a monitor step may reach; past it, ResidualOverflowError.
 RESIDUAL_CAP = 10**6
-# The memos an engine owns, by attribute name.
-_MEMOS = ("internal_successors", "tau_closure", "visible_successors")
 
 
 class Engine:
-    """One alphabet's step relation: a bounded memo per term function, and
-    the monitor's lazy DFA.
+    """One alphabet's step relation: the step memo, and the monitor's lazy
+    DFA.
 
-    Each memo is an ``lru_cache`` of ``TERM_MEMO_SIZE`` entries keyed on the
-    term (``internal_successors``: and the action, ``visible_successors``:
-    and the event), never on the alphabet.
-    The memos reach their engine through a weak proxy.  ``states`` maps a
-    residual set to a weak reference, without a callback, to the monitor
-    state of that set; a dead state's entry stays until the next flush.
-    A state holds its engine and its edges hold later states, never earlier
-    ones, so an engine is in no reference cycle and is freed as soon as
-    nothing holds it.  ``room`` counts the edges and states the DFA may
-    still take on before it is flushed.
+    ``internal_successors`` is an ``lru_cache`` of ``TERM_MEMO_SIZE``
+    entries keyed on the term and the action, never on the alphabet; it
+    reaches its engine through a weak proxy.  ``states`` maps a residual
+    set to a weak reference, without a callback, to the monitor state of
+    that set; a dead state's entry stays until the next flush.  A state
+    holds its engine and its edges hold later states, never earlier ones,
+    so an engine is in no reference cycle and is freed as soon as nothing
+    holds it.  ``room`` counts the edges and states the DFA may still take
+    on before it is flushed.
     """
 
-    __slots__ = ("alphabet", *_MEMOS, "states", "room", "__weakref__")
+    __slots__ = ("alphabet", "internal_successors", "states", "room", "__weakref__")
 
     def __init__(self, alphabet: frozenset[str]):
-        me = weakref.proxy(self)
         self.alphabet = alphabet
         memo = lru_cache(maxsize=TERM_MEMO_SIZE)
-        self.internal_successors = memo(partial(_internal_successors, me))
-        self.tau_closure = memo(partial(_tau_closure, me))
-        self.visible_successors = memo(partial(_visible_successors, me))
+        self.internal_successors = memo(partial(_internal_successors, weakref.proxy(self)))
         self.states: dict[frozenset[Term], weakref.ref] = {}
         self.room = EDGE_CAP
-        memos = {name: getattr(self, name) for name in _MEMOS}
-        weakref.finalize(self, _retire, memos).atexit = False
+        weakref.finalize(self, _retire, self.internal_successors).atexit = False
 
     def __repr__(self):
         return f"Engine({sorted(self.alphabet)!r})"
@@ -137,8 +132,8 @@ _engines: weakref.WeakValueDictionary[frozenset[str], Engine] = weakref.WeakValu
 # The engine that engine() returned last, and the set it was asked for.
 _last: Engine | None = None
 _last_alphabet: frozenset[str] | None = None
-# Hits and misses of the memos of the engines already freed, by memo name.
-_freed = {name: [0, 0] for name in _MEMOS}
+# Hits and misses of the step memos of the engines already freed.
+_freed = [0, 0]
 
 
 def engine(alphabet: frozenset[str]) -> Engine:
@@ -146,7 +141,7 @@ def engine(alphabet: frozenset[str]) -> Engine:
 
     The engine returned last stays alive even when no caller holds it, so
     calls on one alphabet one after another (``cspmon check`` runs its
-    suite one term at a time) keep its memos warm.
+    suite one term at a time) keep its memo warm.
     """
     global _last, _last_alphabet
     if alphabet is _last_alphabet:
@@ -158,36 +153,24 @@ def engine(alphabet: frozenset[str]) -> Engine:
     return found
 
 
-def _retire(memos) -> None:
-    """Add a freed engine's memo statistics to the process-wide totals."""
-    for name, memo in memos.items():
-        info = memo.cache_info()
-        _freed[name][0] += info.hits
-        _freed[name][1] += info.misses
+def _retire(memo) -> None:
+    """Add a freed engine's step memo statistics to the process-wide totals."""
+    info = memo.cache_info()
+    _freed[0] += info.hits
+    _freed[1] += info.misses
 
 
-def _memo_info(name: str) -> SimpleNamespace:
-    """Process-wide hits and misses of one memo, freed engines included, and
-    the entries that live engines hold."""
-    hits, misses = _freed[name]
+def _memo_info() -> SimpleNamespace:
+    """Process-wide hits and misses of the step memos, freed engines
+    included, and the entries that live engines hold."""
+    hits, misses = _freed
     entries = 0
     for live in _engines.values():
-        info = getattr(live, name).cache_info()
+        info = live.internal_successors.cache_info()
         hits += info.hits
         misses += info.misses
         entries += info.currsize
     return SimpleNamespace(hits=hits, misses=misses, currsize=entries)
-
-
-def _clear_memos() -> None:
-    """Empty every memo of every live engine, flush its DFA and zero the
-    statistics."""
-    for live in _engines.values():
-        for name in _MEMOS:
-            getattr(live, name).cache_clear()
-        _flush(live)
-    for counts in _freed.values():
-        counts[:] = [0, 0]
 
 
 def _flush(eng: Engine) -> None:
@@ -206,15 +189,6 @@ def _flush(eng: Engine) -> None:
     eng.room = EDGE_CAP
 
 
-def _reports_on_memo(wrapper):
-    """Give a module-level wrapper ``cache_info`` and ``cache_clear``, as an
-    ``lru_cache`` has, over the engines' memo of the same name."""
-    wrapper.cache_info = partial(_memo_info, wrapper.__name__)
-    wrapper.cache_clear = _clear_memos
-    return wrapper
-
-
-@_reports_on_memo
 def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Transition]:
     """All one-step ``(action, target)`` pairs of a closed term, deduplicated.
 
@@ -224,23 +198,42 @@ def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Trans
     return frozenset((a, t) for a in (*alphabet, TAU) for t in steps(term, a))
 
 
-@_reports_on_memo
+# Reported as an lru_cache reports, over the step memos of every engine.
+internal_successors.cache_info = _memo_info
+
+
+@lru_cache(maxsize=TERM_MEMO_SIZE)
 def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
     """Every term reachable by zero or more tau steps, intermediates included.
 
     Terminates because each tau step strictly shrinks the term.
     """
-    return engine(alphabet).tau_closure(term)
+    steps = engine(alphabet).internal_successors
+    seen = {term}
+    frontier = [term]
+    while frontier:
+        for t in steps(frontier.pop(), TAU):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return frozenset(seen)
 
 
-@_reports_on_memo
+@lru_cache(maxsize=TERM_MEMO_SIZE)
 def visible_successors(term: Term, event: str, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting exactly ``event`` (tau steps free).
 
     Includes every stop along the trailing tau run, not only tau-normal
     forms.
     """
-    return engine(alphabet).visible_successors(term, event)
+    if event not in alphabet:
+        return frozenset()
+    steps = engine(alphabet).internal_successors
+    out = set()
+    for pre in tau_closure(term, alphabet):
+        for t in steps(pre, event):
+            out |= tau_closure(t, alphabet)
+    return frozenset(out)
 
 
 # --- the engine's memoized functions ------------------------------------------
@@ -309,27 +302,6 @@ def _successors(eng: Engine, term: Term, action) -> tuple[Term, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _tau_closure(eng: Engine, term: Term) -> frozenset[Term]:
-    seen = {term}
-    frontier = [term]
-    while frontier:
-        for t in eng.internal_successors(frontier.pop(), TAU):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return frozenset(seen)
-
-
-def _visible_successors(eng: Engine, term: Term, event: str) -> frozenset[Term]:
-    if event not in eng.alphabet:
-        return frozenset()
-    out = set()
-    for pre in eng.tau_closure(term):
-        for t in eng.internal_successors(pre, event):
-            out |= eng.tau_closure(t)
-    return frozenset(out)
-
-
 def _step(eng: Engine, residuals: frozenset[Term], event: str) -> frozenset[Term]:
     """The residual set that ``residuals`` reach on ``event``, an event of
     the alphabet: the first viable target of each AC class among the
@@ -394,10 +366,9 @@ def _key(term: Term):
 
 def run(term: Term, trace: Trace, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting ``trace``, every tau step taken."""
-    held = engine(alphabet)
-    states = held.tau_closure(term)
+    states = tau_closure(term, alphabet)
     for event in trace:
-        states = frozenset().union(*[held.visible_successors(s, event) for s in states])
+        states = frozenset().union(*[visible_successors(s, event, alphabet) for s in states])
     return states
 
 

@@ -294,14 +294,22 @@ def print_set(expr: EventSetExpr) -> str:
     return _fmt_set(expr, top=True)
 
 
+_SET_SYMBOLS = {SetUnion: "u", SetIntersection: "n", SetDifference: "\\"}
+
+
 def _fmt_set(expr: EventSetExpr, top: bool) -> str:
+    # A left-associative run of set operations is printed in a loop, as it
+    # is parsed; only its right operands may need parentheses.
+    tails = []
+    while type(expr) in _SET_SYMBOLS:
+        tails.append(f" {_SET_SYMBOLS[type(expr)]} {_fmt_set(expr.right, top=False)}")
+        expr = expr.left
     if isinstance(expr, Literal):
-        return "{" + ",".join(p.name for p in expr.params) + "}"
-    if isinstance(expr, FullAlphabet):
-        return "Sigma"
-    op = {SetUnion: "u", SetIntersection: "n", SetDifference: "\\"}[type(expr)]
-    text = f"{_fmt_set(expr.left, top=True)} {op} {_fmt_set(expr.right, top=False)}"
-    return text if top else f"({text})"
+        text = "{" + ",".join(p.name for p in expr.params) + "}"
+    else:
+        text = "Sigma"
+    text += "".join(reversed(tails))
+    return text if top or not tails else f"({text})"
 
 
 def format_spec(spec: SpecFile) -> str:

@@ -283,7 +283,17 @@ def _subst_set(e: Event, x: EventVar, expr: EventSetExpr) -> EventSetExpr:
         return expr
     if isinstance(expr, Literal):
         return Literal(tuple(e if p == x else p for p in expr.params))
-    return type(expr)(_subst_set(e, x, expr.left), _subst_set(e, x, expr.right))
+    # A left-associative run of set operations is walked in a loop, as the
+    # parser reads it, and rebuilt bottom-up, so a long run takes no stack
+    # frame per operation.
+    run = []
+    while isinstance(expr, _SetOperation) and x in expr._free:
+        run.append(expr)
+        expr = expr.left
+    out = _subst_set(e, x, expr)
+    for expr in reversed(run):
+        out = type(expr)(out, _subst_set(e, x, expr.right))
+    return out
 
 
 def substitute(e: Event, x: EventVar, term: Term) -> Term:

@@ -8,8 +8,8 @@ traces of length <= ``depth``, and ``parcomp`` stops merging at ``depth``.
 
 ``semantics`` is memoized on its exact arguments.  Terms are interned, so a
 lookup hashes and compares the node in O(1), and a hit returns without
-recursing.  Like the ``sos`` engine's memos it is bounded, by entries: it
-keeps the ``SEMANTICS_MEMO_SIZE`` most recently used ones.  That suffices
+recursing.  Like the ``sos`` memos it is bounded, by entries: it keeps
+the ``SEMANTICS_MEMO_SIZE`` most recently used ones.  That suffices
 because most repeats come from the checks of one term, which evaluate the
 same subterms at the same depths again.
 """

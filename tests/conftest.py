@@ -19,6 +19,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from cspmon import sos
 from cspmon.terms import (
     Choice,
     EventVar,
@@ -52,6 +53,10 @@ def _clear_package_caches() -> None:
             for obj in vars(module).values():
                 if callable(getattr(obj, "cache_clear", None)):
                     obj.cache_clear()
+    # Each engine's step memo, and the DFA edges built from its entries.
+    for live in list(sos._engines.values()):
+        live.internal_successors.cache_clear()
+        sos._flush(live)
 
 
 @contextmanager

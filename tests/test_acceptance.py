@@ -179,6 +179,48 @@ class TestAcceptance:
             _verdict_line("frontend-roundtrip", violations, f"{len(corpus)} terms")
 
 
+class TestMonitorOnEveryTrace:
+    """The real monitor path (``feed``, its DFA edges and the engine's state
+    table) against the trace set: ``feed_all`` from the initial state is
+    RUNNING exactly on the traces in the set.  Checked on every trace of
+    each corpus term's trace set, the empty trace and every one-event
+    extension of a trace in the set."""
+
+    @staticmethod
+    def _pairs_and_mismatches(terms):
+        pairs = mismatches = 0
+        for term in terms:
+            sem = semantics(term, prefix_depth(term), ALPHABET).traces
+            start = init_monitor(term, ALPHABET)
+            traces = {()} | sem | {trace + (e,) for trace in sem for e in ALPHABET}
+            for trace in traces:
+                running = verdict_of(feed_all(start, trace)) is Verdict.RUNNING
+                mismatches += running != (trace in sem)
+            pairs += len(traces)
+        return pairs, mismatches
+
+    def test_every_trace_of_the_corpus(self, corpus):
+        pairs, mismatches = self._pairs_and_mismatches(corpus)
+        assert mismatches == 0 and pairs > 9 * len(corpus)
+
+    def test_every_trace_through_flushes(self, corpus, monkeypatch):
+        # A small cap, taking effect at once, so that the DFA of almost
+        # every term is flushed while it is fed.
+        monkeypatch.setattr(sos, "EDGE_CAP", 8)
+        stock = sos._flush
+        flushes = []
+
+        def counted(eng):
+            stock(eng)
+            flushes.append(eng)
+
+        monkeypatch.setattr(sos, "_flush", counted)
+        sos._flush(sos.engine(ALPHABET))
+        terms = corpus[:2_000]
+        _, mismatches = self._pairs_and_mismatches(terms)
+        assert mismatches == 0 and len(flushes) > len(terms)
+
+
 def _doomed_paths_ok(term) -> bool:
     seen = set()
     stack = [term]

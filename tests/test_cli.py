@@ -444,6 +444,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# One left-associative run of 5,000 unions.
+_DEEP_SET = " u ".join(["{a}"] * 5_000)
+# The prefix that feeding ``a`` leaves of the spec of
+# test_variable_under_a_deep_set_expression.
+_CLOSED = "?y:" + " u ".join(["{a}"] * 3_001) + " -> STOP"
+# ``check --count 0`` on a spec over {a,b} that passes every check.
+_ALL_PASS = "".join(
+    f"PASS {prop} 0\n"
+    for prop in ("correspondence", "doomed-normalization", "doomed-iff-empty",
+                 "derivative-decomposition[a]", "derivative-decomposition[b]")
+)
+
+
 class TestResourceErrors:
     # A crash must not exit 1, which reads as a FAILED verdict.
     def _assert_one_error_line(self, capsys):
@@ -491,22 +504,42 @@ class TestResourceErrors:
         [
             ("monitor", ["--events"], 1, "1 a RUNNING\n2 a FAILED\n"),
             ("traces", ["--depth", "1"], 0, "\na\n"),
-            ("check", ["--count", "0"], 0, "".join(
-                f"PASS {prop} 0\n" for prop in ("correspondence", "doomed-normalization",
-                                                 "doomed-iff-empty", "derivative-decomposition[a]",
-                                                 "derivative-decomposition[b]"))),
+            ("check", ["--count", "0"], 0, _ALL_PASS),
+            ("step", [], 0, f"state: ?x:{_DEEP_SET} -> STOP\n"
+                            f"  ?x:{_DEEP_SET} -> STOP --a--> STOP\n"),
         ],
-        ids=["monitor", "traces", "check"],
+        ids=["monitor", "traces", "check", "step"],
     )
     def test_deep_set_expression(self, command, extra, code, out, spec_file, events_file,
                                  capsys):
         # A set expression stores its value when it is built, so reading it
-        # takes no recursion.  ``step`` still prints the set recursively.
-        operands = " u ".join(["{a}"] * 5_000)
-        spec = spec_file(f"alphabet {{a,b}} process ?x:{operands} -> STOP")
+        # takes no recursion, and a left-associative run of set operations
+        # is printed in a loop.
+        spec = spec_file(f"alphabet {{a,b}} process ?x:{_DEEP_SET} -> STOP")
         if command == "monitor":
             extra = extra + [events_file(["a", "a"])]
         assert main([command, spec, *extra]) == code
+        assert capsys.readouterr() == (out, "")
+
+    @pytest.mark.parametrize(
+        "command, extra, out",
+        [
+            ("monitor", ["--events"], "1 a RUNNING\n2 a RUNNING\n"),
+            ("traces", ["--depth", "2"], "\na\na.a\n"),
+            ("check", ["--count", "0"], _ALL_PASS),
+            ("step", ["--trace", "a"], f"state: {_CLOSED}\n  {_CLOSED} --a--> STOP\n"),
+        ],
+        ids=["monitor", "traces", "check", "step"],
+    )
+    def test_variable_under_a_deep_set_expression(self, command, extra, out, spec_file,
+                                                  events_file, capsys):
+        # Stepping the root substitutes x in a run of 3,000 set operations,
+        # in a loop.
+        operands = " u ".join(["{x}"] * 3_000)
+        spec = spec_file(f"alphabet {{a,b}} process ?x:{{a}} -> ?y:{{x}} u {operands} -> STOP")
+        if command == "monitor":
+            extra = extra + [events_file(["a", "a"])]
+        assert main([command, spec, *extra]) == 0
         assert capsys.readouterr() == (out, "")
 
     def test_wide_parallel_under_traces(self, spec_file, capsys):

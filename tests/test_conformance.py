@@ -16,7 +16,6 @@ from cspmon.conformance import (
     check_doomed_normalization,
     check_doomed_iff_empty,
     gen_prefix_closed,
-    gen_term,
     gen_terms,
     minimize_counterexample,
     operational_traces,
@@ -29,11 +28,11 @@ from cspmon.traces import TraceSet
 
 class TestGenTerm:
     def test_size_one_is_a_leaf(self, abc):
-        term = gen_term(GenConfig(max_size=1, alphabet=abc, seed=0))
+        term = next(gen_terms(GenConfig(max_size=1, alphabet=abc, seed=0), 1))
         assert isinstance(term, (Stop, Fail))
 
     def test_golden_seed_is_stable(self, abc):
-        term = gen_term(GenConfig(max_size=7, alphabet=abc, seed=42))
+        term = next(gen_terms(GenConfig(max_size=7, alphabet=abc, seed=42), 1))
         assert print_term(term) == "STOP |[Sigma \\ {a,a,a} \\ {c}]| (FAIL |[{}]| FAIL)"
 
     def test_golden_corpus_digest_is_stable(self, abc):

@@ -152,16 +152,20 @@ class TestRun:
 class TestTermMemos:
     def test_every_memo_is_bounded(self, monkeypatch):
         # Event names no other test uses, so that the engine is new and
-        # built under the patched size.
+        # built under the patched size.  The two process-wide memos were
+        # built at import, under the stock size.
+        size = sos.TERM_MEMO_SIZE
         monkeypatch.setattr(sos, "TERM_MEMO_SIZE", 64)
         alphabet = frozenset({"bound_a", "bound_b", "bound_c"})
         held = sos.engine(alphabet)
         terms = list(gen_terms(GenConfig(max_size=8, alphabet=alphabet, seed=45), 300))
         reports = run_suite(terms, alphabet)
         assert reports and all(report.passed for report in reports)
-        for name in sos._MEMOS:
-            info = getattr(held, name).cache_info()
-            assert info.maxsize == 64 and 0 < info.currsize <= 64, name
+        info = held.internal_successors.cache_info()
+        assert info.maxsize == 64 and 0 < info.currsize <= 64
+        for memo in (sos.tau_closure, sos.visible_successors):
+            info = memo.cache_info()
+            assert info.maxsize == size and 0 < info.currsize <= size, memo
 
 
 class TestInvariants:
