@@ -16,7 +16,7 @@ from .errors import (
 )
 from .monitor import MonitorState, Verdict, feed, feed_all, init_monitor, verdict_of
 from .sos import TAU, Transition, internal_successors, run, tau_closure, visible_successors
-from .syntax import SpecFile, format_spec, parse_spec, parse_term, print_term
+from .syntax import SpecFile, parse_spec, parse_term, print_term
 from .terms import (
     Choice,
     Event,
@@ -35,4 +35,15 @@ from .terms import (
 )
 from .traces import TraceSet, derive, parcomp, prepend_adjoin, semantics
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public API, as README's "Library API" lists it, grouped by module.
+# Submodules are imported by name (``from cspmon import sos``), not listed here.
+__all__ = [
+    "CspmonError", "OpenTermError", "OutOfAlphabetError", "ParseError",
+    "ResidualOverflowError", "UnboundVariableError", "UndeclaredEventError",
+    "Term", "Stop", "Fail", "Prefix", "Choice", "Parallel", "Event", "EventVar", "Literal",
+    "FullAlphabet", "eval_event_set", "is_doomed", "substitute", "term_size",
+    "SpecFile", "parse_spec", "parse_term", "print_term",
+    "TAU", "Transition", "internal_successors", "run", "tau_closure", "visible_successors",
+    "MonitorState", "Verdict", "init_monitor", "feed", "feed_all", "verdict_of",
+    "TraceSet", "semantics", "derive", "parcomp", "prepend_adjoin",
+]

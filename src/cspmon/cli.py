@@ -23,7 +23,7 @@ from .dot import to_dot
 from .errors import CspmonError, InputDecodeError, OutOfAlphabetError
 from .monitor import Verdict, feed, init_monitor
 from .sos import internal_successors, run
-from .syntax import SpecFile, parse_spec, print_term
+from .syntax import IDENTIFIER, SpecFile, parse_spec, print_term
 from .terms import FAIL
 from .traces import canonical_traces, format_trace, parse_trace, semantics
 
@@ -66,11 +66,16 @@ def cmd_monitor(args) -> int:
     try:
         events = _iter_events(stream, args.format)
         for i, event in enumerate(events, start=1):
-            if args.strict and event not in spec.alphabet:
+            if event in spec.alphabet:
+                state = feed(state, event)
+            elif not IDENTIFIER.fullmatch(event):
+                # Echoed raw, it could forge a verdict line or fail to encode.
+                raise ValueError(f"event name {event!r} is not an identifier")
+            elif args.strict:
                 # FAIL's monitor is FAILED from the start.
                 state = init_monitor(FAIL, spec.alphabet)
             else:
-                state = feed(state, event)
+                raise OutOfAlphabetError(event)
             print(f"{i} {event} {state.verdict.value}")
     except UnicodeDecodeError as exc:
         # A subclass of ValueError: a file that is not text, not a bad record.

@@ -35,15 +35,7 @@ from .terms import (
     prefix_depth,
     term_size,
 )
-from .traces import (
-    EMPTY_TRACE_SET,
-    EPSILON,
-    Trace,
-    TraceSet,
-    derive,
-    parcomp,
-    semantics,
-)
+from .traces import EPSILON, Trace, derive, semantics
 
 _VAR_POOL = ("x", "y", "z", "w")
 # Nesting depth of the generated set expressions.
@@ -105,19 +97,6 @@ def _gen_set(rng, cfg, scope, depth) -> EventSetExpr:
     left = _gen_set(rng, cfg, scope, depth - 1)
     right = _gen_set(rng, cfg, scope, depth - 1)
     return _SET_OPS[kind](left, right)
-
-
-def gen_prefix_closed(rng: random.Random, alphabet: frozenset[str], depth: int) -> TraceSet:
-    """A random prefix-closed trace set with traces of length <= depth."""
-    if rng.random() < 0.1:
-        return EMPTY_TRACE_SET
-    traces = {EPSILON}
-    events = sorted(alphabet)
-    for _ in range(rng.randint(0, 3 * depth + 1)):
-        t = tuple(rng.choice(events) for _ in range(rng.randint(1, depth)))
-        for i in range(1, len(t) + 1):
-            traces.add(t[:i])
-    return TraceSet(frozenset(traces))
 
 
 # --- reports --------------------------------------------------------------
@@ -288,27 +267,6 @@ def check_derivative_decomposition(
         return lhs != rhs
 
     return _check(f"derivative-decomposition[{event}]", term, seed, fails)
-
-
-def check_continuity_instance(
-    t1: TraceSet,
-    t1_prime: TraceSet,
-    sync: frozenset[str],
-    t2: TraceSet,
-    alphabet: frozenset[str],
-) -> CheckReport:
-    """Binary-union distributivity of the parallel trace-set operator."""
-    t1_union = t1.union(t1_prime)
-    # Composed in full: no merge is longer than the two longest operands.
-    depth = max(map(len, t1_union.traces), default=0) + max(map(len, t2.traces), default=0)
-    lhs = parcomp(t1_union, sync, t2, alphabet, depth)
-    rhs = parcomp(t1, sync, t2, alphabet, depth).union(
-        parcomp(t1_prime, sync, t2, alphabet, depth)
-    )
-    ok = lhs.traces == rhs.traces
-    # No term to shrink, so the two sides are the counterexample.
-    example = None if ok else f"lhs={sorted(lhs.traces)} rhs={sorted(rhs.traces)}"
-    return CheckReport("parcomp-continuity", ok, None, example)
 
 
 def run_suite(

@@ -50,12 +50,16 @@ class SpecFile:
 
 # --- lexer ----------------------------------------------------------------
 
+# An event name, variable or keyword; ``cspmon monitor`` takes an event name
+# only if it is one, so every name it echoes could be written in a spec.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<ws>\s+)
     | (?P<comment>--[^\n]*)
-    | (?P<op>\|\[|\]\||\[\]|->|[{}(),?:\\])
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<op>\|\[|\]\||\[\]|->|[{{}}(),?:\\])
+    | (?P<ident>{IDENTIFIER.pattern})
     """,
     re.VERBOSE,
 )
@@ -310,8 +314,3 @@ def _fmt_set(expr: EventSetExpr, top: bool) -> str:
         text = "Sigma"
     text += "".join(reversed(tails))
     return text if top or not tails else f"({text})"
-
-
-def format_spec(spec: SpecFile) -> str:
-    names = ",".join(sorted(spec.alphabet))
-    return f"alphabet {{{names}}} process {print_term(spec.root)}"

@@ -193,11 +193,6 @@ class SetDifference(_SetOperation):
 EventSetExpr = Union[Literal, FullAlphabet, SetUnion, SetIntersection, SetDifference]
 
 
-def literal(*names: str) -> Literal:
-    """Shorthand for a literal set of concrete events."""
-    return Literal(tuple(Event(n) for n in names))
-
-
 # --- terms ----------------------------------------------------------------
 
 
@@ -346,10 +341,6 @@ def term_size(term: Term) -> int:
 
 def free_vars(node: "Term | EventSetExpr") -> frozenset[EventVar]:
     return node._free
-
-
-def is_closed(term: Term) -> bool:
-    return not term._free
 
 
 def prefix_depth(term: Term) -> int:

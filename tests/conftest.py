@@ -7,12 +7,14 @@ walks, set expressions by Python's own set operations, and the parallel
 trace operator by brute-force merging of trace pairs.  The
 ``source_mutant`` fixture builds mutants for mutation testing by editing
 the source of a shipped function, so the package itself carries no
-mutation switches.
+mutation switches.  The helpers at the end are the builders and the one
+property check that only tests use, kept out of the shipped package.
 """
 
 from __future__ import annotations
 
 import inspect
+import random
 import sys
 import textwrap
 from contextlib import contextmanager
@@ -20,8 +22,11 @@ from contextlib import contextmanager
 import pytest
 
 from cspmon import sos
+from cspmon.conformance import CheckReport
+from cspmon.syntax import SpecFile, print_term
 from cspmon.terms import (
     Choice,
+    Event,
     EventVar,
     Fail,
     FullAlphabet,
@@ -34,7 +39,7 @@ from cspmon.terms import (
     Stop,
     Term,
 )
-from cspmon.traces import EPSILON, Trace
+from cspmon.traces import EMPTY_TRACE_SET, EPSILON, Trace, TraceSet, parcomp
 
 
 @pytest.fixture
@@ -196,3 +201,54 @@ def prefix_closure(traces) -> frozenset[Trace]:
         for i in range(len(t) + 1):
             out.add(t[:i])
     return frozenset(out)
+
+
+# --- test-only builders and checks -----------------------------------------
+
+
+def literal(*names: str) -> Literal:
+    """Shorthand for a literal set of concrete events."""
+    return Literal(tuple(Event(n) for n in names))
+
+
+def is_closed(term: Term) -> bool:
+    return not term._free
+
+
+def format_spec(spec: SpecFile) -> str:
+    names = ",".join(sorted(spec.alphabet))
+    return f"alphabet {{{names}}} process {print_term(spec.root)}"
+
+
+def gen_prefix_closed(rng: random.Random, alphabet: frozenset[str], depth: int) -> TraceSet:
+    """A random prefix-closed trace set with traces of length <= depth."""
+    if rng.random() < 0.1:
+        return EMPTY_TRACE_SET
+    traces = {EPSILON}
+    events = sorted(alphabet)
+    for _ in range(rng.randint(0, 3 * depth + 1)):
+        t = tuple(rng.choice(events) for _ in range(rng.randint(1, depth)))
+        for i in range(1, len(t) + 1):
+            traces.add(t[:i])
+    return TraceSet(frozenset(traces))
+
+
+def check_continuity_instance(
+    t1: TraceSet,
+    t1_prime: TraceSet,
+    sync: frozenset[str],
+    t2: TraceSet,
+    alphabet: frozenset[str],
+) -> CheckReport:
+    """Binary-union distributivity of the parallel trace-set operator."""
+    t1_union = t1.union(t1_prime)
+    # Composed in full: no merge is longer than the two longest operands.
+    depth = max(map(len, t1_union.traces), default=0) + max(map(len, t2.traces), default=0)
+    lhs = parcomp(t1_union, sync, t2, alphabet, depth)
+    rhs = parcomp(t1, sync, t2, alphabet, depth).union(
+        parcomp(t1_prime, sync, t2, alphabet, depth)
+    )
+    ok = lhs.traces == rhs.traces
+    # No term to shrink, so the two sides are the counterexample.
+    example = None if ok else f"lhs={sorted(lhs.traces)} rhs={sorted(rhs.traces)}"
+    return CheckReport("parcomp-continuity", ok, None, example)

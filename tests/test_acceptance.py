@@ -16,8 +16,6 @@ from cspmon import sos, traces
 from cspmon.cli import main
 from cspmon.conformance import (
     GenConfig,
-    check_continuity_instance,
-    gen_prefix_closed,
     gen_terms,
     operational_traces,
 )
@@ -26,6 +24,7 @@ from cspmon.sos import TAU, internal_successors, visible_successors
 from cspmon.syntax import parse_term, print_term
 from cspmon.terms import Fail, is_doomed, prefix_depth, term_size
 from cspmon.traces import derive, semantics
+from conftest import check_continuity_instance, gen_prefix_closed
 
 ALPHABET = frozenset({"a", "b", "c"})
 CORPUS_SIZE = 10_000

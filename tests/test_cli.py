@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: subcommands, formats, and exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,6 +14,12 @@ import pytest
 import cspmon
 from cspmon import sos
 from cspmon.cli import main
+from cspmon.conformance import GenConfig, gen_terms
+from cspmon.errors import CspmonError
+from cspmon.syntax import SpecFile, parse_spec
+from cspmon.terms import prefix_depth
+from cspmon.traces import semantics
+from conftest import format_spec
 from test_acceptance import MUTANTS
 
 
@@ -96,6 +104,31 @@ class TestMonitorCommand:
         spec = spec_file("alphabet {a} process ?x:{a} -> STOP")
         monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
         assert main(["monitor", spec]) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
+    @pytest.mark.parametrize(
+        "fmt, record, shown",
+        [
+            # Echoed raw, the name would print a second, forged verdict line.
+            ("json", json.dumps({"event": "x\n2 a RUNNING"}), r"'x\n2 a RUNNING'"),
+            # Echoed raw, the name would fail to encode on output.
+            ("json", json.dumps({"event": "\ud800"}), r"'\ud800'"),
+            ("lines", "x y", "'x y'"),
+        ],
+        ids=["forged-line", "lone-surrogate", "space"],
+    )
+    def test_non_identifier_event_is_a_malformed_record(
+        self, fmt, record, shown, flags, spec_file, tmp_path, capsys
+    ):
+        spec = spec_file("alphabet {a} process ?x:{a} -> STOP")
+        first = json.dumps({"event": "a"}) if fmt == "json" else "a"
+        events = tmp_path / "events.txt"
+        events.write_text(f"{first}\n{record}\n")
+        code = main(["monitor", spec, "--events", str(events), "--format", fmt, *flags])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "1 a RUNNING\n"
+        assert err == f"error: malformed event record: event name {shown} is not an identifier\n"
 
 
 class TestTracesCommand:
@@ -555,3 +588,99 @@ class TestResourceErrors:
         spec = spec_file("alphabet {a} process STOP")
         assert main(["traces", spec, "--depth", "1"]) == 2
         self._assert_one_error_line(capsys)
+
+
+class TestDifferentialSweep:
+    """Generated specs through every subcommand, each run checked against
+    the library's own semantics (McKeeman, "Differential Testing for
+    Software", Digital Technical Journal, 1998).
+
+    A spec is a generated term printed by ``format_spec``; some get extra
+    parentheses, some have the alphabet's ``a`` renamed ``d`` (so a use of
+    ``a`` is undeclared) and some a duplicated ``STOP`` operand (a syntax
+    error).  Each runs with 0-8 events over {a,b,c,d}.
+    """
+
+    SPECS = 120
+    SEED = 2_024
+    EVENTS = ("a", "b", "c", "d")
+
+    @staticmethod
+    def _mutate(text: str, rng) -> str:
+        roll = rng.random()
+        if roll < 0.2:
+            head, term = text.split(" process ", 1)
+            return f"{head} process ({term})"
+        if roll < 0.3:
+            return text.replace("{a", "{d", 1)
+        if roll < 0.4:
+            return text.replace("STOP", "STOP STOP", 1)
+        return text
+
+    @staticmethod
+    def _run(argv: list[str], text: str) -> tuple[int, str, str]:
+        """``main(argv)``'s exit code and output; no exception may escape."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:  # reported with the spec that raised it
+                pytest.fail(f"{argv[0]} raised {exc!r} on {text!r}")
+        assert code in (0, 1, 2), (argv, text)
+        if code == 2:
+            assert err.getvalue().startswith("error:"), (argv, text, err.getvalue())
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def _monitor_expected(spec: SpecFile, events: list[str], strict: bool):
+        """The output lines and exit code membership in ``semantics`` gives."""
+        full = semantics(spec.root, prefix_depth(spec.root), spec.alphabet).traces
+        lines, trace, strayed = [], (), False
+        for i, event in enumerate(events, start=1):
+            if event in spec.alphabet:
+                trace += (event,)
+            elif strict:
+                strayed = True
+            else:
+                return lines, 2
+            running = not strayed and trace in full
+            lines.append(f"{i} {event} {'RUNNING' if running else 'FAILED'}")
+        return lines, 0 if not strayed and trace in full else 1
+
+    def test_every_subcommand_agrees_with_the_semantics(self, abc, tmp_path):
+        rng = random.Random(self.SEED)
+        spec_path, events_path = str(tmp_path / "spec"), str(tmp_path / "events")
+        parsed = 0
+        for term in gen_terms(GenConfig(max_size=10, alphabet=abc, seed=self.SEED), self.SPECS):
+            text = self._mutate(format_spec(SpecFile(abc, term)), rng)
+            events = [rng.choice(self.EVENTS) for _ in range(rng.randint(0, 8))]
+            with open(spec_path, "w", encoding="utf-8") as f:
+                f.write(text)
+            with open(events_path, "w", encoding="utf-8") as f:
+                f.write("".join(f"{e}\n" for e in events))
+            monitor = ["monitor", spec_path, "--events", events_path]
+            runs = {
+                "monitor": self._run(monitor, text),
+                "strict": self._run(monitor + ["--strict"], text),
+                "traces": self._run(["traces", spec_path, "--depth", "3"], text),
+                "step": self._run(["step", spec_path], text),
+                "check": self._run(["check", spec_path, "--count", "0"], text),
+            }
+            try:
+                spec = parse_spec(text)
+            except CspmonError:
+                assert {run[0] for run in runs.values()} == {2}, text
+                continue
+            parsed += 1
+            for key, strict in (("monitor", False), ("strict", True)):
+                code, out, _ = runs[key]
+                lines, want = self._monitor_expected(spec, events, strict)
+                assert (out.splitlines(), code) == (lines, want), (key, text, events)
+            traces = semantics(spec.root, 3, spec.alphabet).traces
+            listing = "".join(".".join(t) + "\n" for t in sorted(traces, key=lambda t: (len(t), t)))
+            assert runs["traces"] == (0, listing, ""), text
+            assert runs["step"][0] == 0, text
+            code, out, _ = runs["check"]
+            assert code == 0 and all(line.startswith("PASS ") for line in out.splitlines()), text
+        # Most mutated specs still parse, so the comparisons above carry weight.
+        assert parsed > self.SPECS * 3 // 4

@@ -10,12 +10,10 @@ import pytest
 from cspmon import sos
 from cspmon.conformance import (
     GenConfig,
-    check_continuity_instance,
     check_correspondence,
     check_derivative_decomposition,
     check_doomed_normalization,
     check_doomed_iff_empty,
-    gen_prefix_closed,
     gen_terms,
     minimize_counterexample,
     operational_traces,
@@ -24,6 +22,7 @@ from cspmon.conformance import (
 from cspmon.syntax import parse_term, print_term
 from cspmon.terms import FAIL, STOP, Choice, Fail, Parallel, Prefix, Stop, term_size
 from cspmon.traces import TraceSet
+from conftest import check_continuity_instance, gen_prefix_closed
 
 
 class TestGenTerm:

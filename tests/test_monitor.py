@@ -22,12 +22,11 @@ from cspmon.terms import (
     Parallel,
     Prefix,
     STOP,
-    is_closed,
     is_doomed,
-    literal,
     prefix_depth,
 )
 from cspmon.traces import semantics
+from conftest import is_closed, literal
 
 X = EventVar("x")
 SYNCS = (Literal(()), literal("a"), FullAlphabet())

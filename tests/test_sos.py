@@ -24,9 +24,9 @@ from cspmon.terms import (
     STOP,
     SetDifference,
     is_doomed,
-    literal,
     term_size,
 )
+from conftest import literal
 
 X, Y = EventVar("x"), EventVar("y")
 EMPTY = Literal(())

@@ -4,7 +4,7 @@ import pytest
 
 from cspmon.conformance import GenConfig, gen_terms
 from cspmon.errors import ParseError, UndeclaredEventError
-from cspmon.syntax import format_spec, parse_spec, parse_term, print_term
+from cspmon.syntax import parse_spec, parse_term, print_term
 from cspmon.terms import (
     Choice,
     Event,
@@ -18,6 +18,7 @@ from cspmon.terms import (
     SetDifference,
     prefix_depth,
 )
+from conftest import format_spec
 
 X = EventVar("x")
 

@@ -28,9 +28,7 @@ from cspmon.terms import (
     _subst_set,
     eval_event_set,
     free_vars,
-    is_closed,
     is_doomed,
-    literal,
     prefix_depth,
     substitute,
     term_size,
@@ -38,6 +36,8 @@ from cspmon.terms import (
 from conftest import (
     doomed_by_grammar,
     free_vars_by_walk,
+    is_closed,
+    literal,
     prefix_depth_by_walk,
     set_by_reference,
     term_size_by_walk,

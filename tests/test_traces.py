@@ -2,9 +2,9 @@
 
 import random
 
-from cspmon.conformance import GenConfig, gen_prefix_closed, gen_terms
+from cspmon.conformance import GenConfig, gen_terms
 from cspmon.syntax import parse_term
-from cspmon.terms import FAIL, STOP, EventVar, Prefix, literal, prefix_depth
+from cspmon.terms import FAIL, STOP, EventVar, Prefix, prefix_depth
 from cspmon.traces import (
     EPSILON,
     SEMANTICS_MEMO_SIZE,
@@ -17,7 +17,7 @@ from cspmon.traces import (
     prepend_adjoin,
     semantics,
 )
-from conftest import parcomp_bruteforce, prefix_closure
+from conftest import gen_prefix_closed, literal, parcomp_bruteforce, prefix_closure
 
 
 def ts(*traces):
