@@ -63,6 +63,8 @@ def cmd_monitor(args) -> int:
             stream.reconfigure(errors="strict")
     else:
         stream = open(args.events, "r", encoding="utf-8")
+    # One write per event, never batched: a live stdin sees each verdict at once.
+    write = sys.stdout.write
     try:
         events = _iter_events(stream, args.format)
         for i, event in enumerate(events, start=1):
@@ -76,7 +78,9 @@ def cmd_monitor(args) -> int:
                 state = init_monitor(FAIL, spec.alphabet)
             else:
                 raise OutOfAlphabetError(event)
-            print(f"{i} {event} {state.verdict.value}")
+            # RUNNING exactly while a residual is left, as ``state.verdict``
+            # says, without its property and enum lookups on every event.
+            write(f"{i} {event} {'RUNNING' if state.residuals else 'FAILED'}\n")
     except UnicodeDecodeError as exc:
         # A subclass of ValueError: a file that is not text, not a bad record.
         name = "standard input" if stream is sys.stdin else args.events

@@ -17,7 +17,7 @@ Meredith, Griffith & Roşu, "Garbage Collection for Monitoring Parametric
 Properties" (PLDI 2011).  The module-level functions take the alphabet
 and call its engine.  ``tau_closure`` and ``visible_successors``, which
 only ``run`` and the raw relation's checks read, are process-wide
-``lru_cache``s of ``TERM_MEMO_SIZE`` entries each, over the step memo.
+``lru_cache``s of ``CLOSURE_MEMO_SIZE`` entries each, over the step memo.
 
 The engine steps a term on one action at a time: its one step memo,
 ``internal_successors(term, action)``, holds the targets of the term's
@@ -90,9 +90,13 @@ TAU = Tau()
 # A step of a term: the action it emits and the term it becomes.
 Transition = tuple["str | Tau", Term]
 
-# Most entries each term memo keeps: an engine's step memo, and the tau
-# closure and visible successors.
+# Most entries an engine's step memo keeps.
 TERM_MEMO_SIZE = 1 << 14
+# Most entries the tau closure and the visible successors each keep.  Only
+# ``run`` and the derivative-decomposition check read them, one term at a
+# time; on a generated check corpus a thousand entries keep nearly every
+# hit that sixteen times as many do.
+CLOSURE_MEMO_SIZE = 1 << 10
 # Most edges and new states an engine's DFA takes on between two flushes.
 EDGE_CAP = 1 << 14
 # Most residuals a monitor step may reach; past it, ResidualOverflowError.
@@ -202,7 +206,7 @@ def internal_successors(term: Term, alphabet: frozenset[str]) -> frozenset[Trans
 internal_successors.cache_info = _memo_info
 
 
-@lru_cache(maxsize=TERM_MEMO_SIZE)
+@lru_cache(maxsize=CLOSURE_MEMO_SIZE)
 def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
     """Every term reachable by zero or more tau steps, intermediates included.
 
@@ -219,7 +223,7 @@ def tau_closure(term: Term, alphabet: frozenset[str]) -> frozenset[Term]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=TERM_MEMO_SIZE)
+@lru_cache(maxsize=CLOSURE_MEMO_SIZE)
 def visible_successors(term: Term, event: str, alphabet: frozenset[str]) -> frozenset[Term]:
     """All terms reachable by emitting exactly ``event`` (tau steps free).
 

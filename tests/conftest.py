@@ -23,7 +23,7 @@ import pytest
 
 from cspmon import sos
 from cspmon.conformance import CheckReport
-from cspmon.syntax import SpecFile, print_term
+from cspmon.syntax import SpecFile, parse_spec, print_term
 from cspmon.terms import (
     Choice,
     Event,
@@ -218,6 +218,14 @@ def is_closed(term: Term) -> bool:
 def format_spec(spec: SpecFile) -> str:
     names = ",".join(sorted(spec.alphabet))
     return f"alphabet {{{names}}} process {print_term(spec.root)}"
+
+
+def interleave_spec(a: str, b: str, chains: int, depth: int) -> SpecFile:
+    """As perfbench's ``interleave_spec`` builds it, parsed."""
+    chain = "STOP"
+    for _ in range(depth):
+        chain = f"(?x:{{{a},{b}}} -> {chain} [] ?x:{{{b}}} -> FAIL)"
+    return parse_spec(f"alphabet {{{a},{b}}} process " + " |[{}]| ".join([chain] * chains))
 
 
 def gen_prefix_closed(rng: random.Random, alphabet: frozenset[str], depth: int) -> TraceSet:

@@ -26,7 +26,7 @@ from cspmon.terms import (
     prefix_depth,
 )
 from cspmon.traces import semantics
-from conftest import is_closed, literal
+from conftest import interleave_spec, is_closed, literal
 
 X = EventVar("x")
 SYNCS = (Literal(()), literal("a"), FullAlphabet())
@@ -289,7 +289,7 @@ class TestColdStep:
         # root's targets on b with FAIL in place of a chain are the b-only
         # ones.  Fresh names, so that no other test built them.
         a, b = "only_a", "only_b"
-        spec = _interleave_spec(a, b, 3, 6)
+        spec = interleave_spec(a, b, 3, 6)
         inner, sync, chain = spec.root.left, spec.root.sync, spec.root.right
         on_b_only = [(FAIL, sync, chain), (chain, sync, FAIL), (inner, sync, FAIL)]
         start = init_monitor(spec.root, spec.alphabet)
@@ -416,7 +416,7 @@ class TestEdgeCap:
         monkeypatch.setattr(sos, "_flush", checked)
         out = []
         a, b = f"cap{tag}_a", f"cap{tag}_b"
-        spec = _interleave_spec(a, b, 6, 5)
+        spec = interleave_spec(a, b, 6, 5)
         state = init_monitor(spec.root, spec.alphabet)
         for i in range(32):
             state = feed(state, (a, b)[i % 2])
@@ -468,7 +468,7 @@ class TestEngineLifetime:
 
     def test_engine_is_in_no_reference_cycle(self):
         other = engine(frozenset({"cycle_other"}))
-        spec = _interleave_spec("cycle_a", "cycle_b", 3, 3)
+        spec = interleave_spec("cycle_a", "cycle_b", 3, 3)
         gc.collect()
         gc.disable()
         try:
@@ -495,17 +495,9 @@ class TestEngineLifetime:
         assert sos.internal_successors.cache_info().misses == misses + 1
 
 
-def _interleave_spec(a, b, chains, depth):
-    """As perfbench's ``interleave_spec`` builds it."""
-    chain = "STOP"
-    for _ in range(depth):
-        chain = f"(?x:{{{a},{b}}} -> {chain} [] ?x:{{{b}}} -> FAIL)"
-    return parse_spec(f"alphabet {{{a},{b}}} process " + " |[{}]| ".join([chain] * chains))
-
-
 class TestStateExplosion:
     def test_six_chain_interleaving_stays_small(self):
-        spec = _interleave_spec("a", "b", 6, 5)
+        spec = interleave_spec("a", "b", 6, 5)
         state = init_monitor(spec.root, spec.alphabet)
         sizes = [len(state.residuals)]
         for i in range(30):
@@ -523,7 +515,7 @@ class TestStateExplosion:
             return info.hits + info.misses
 
         before = closures()
-        spec = _interleave_spec("explode_a", "explode_b", 6, 5)
+        spec = interleave_spec("explode_a", "explode_b", 6, 5)
         events = [("explode_a", "explode_b")[i % 2] for i in range(32)]
         # RUNNING for chains * depth events, FAILED from the next one on.
         expected = [Verdict.RUNNING] * 30 + [Verdict.FAILED] * 2

@@ -1,5 +1,7 @@
 """Transition engine: successor enumeration, tau closure, visible runs."""
 
+import random
+
 import pytest
 
 from cspmon import sos, traces
@@ -26,7 +28,7 @@ from cspmon.terms import (
     is_doomed,
     term_size,
 )
-from conftest import literal
+from conftest import interleave_spec, literal
 
 X, Y = EventVar("x"), EventVar("y")
 EMPTY = Literal(())
@@ -153,8 +155,9 @@ class TestTermMemos:
     def test_every_memo_is_bounded(self, monkeypatch):
         # Event names no other test uses, so that the engine is new and
         # built under the patched size.  The two process-wide memos were
-        # built at import, under the stock size.
-        size = sos.TERM_MEMO_SIZE
+        # built at import, under their own bound.
+        stock = sos.engine(frozenset({"stock_a"})).internal_successors.cache_info()
+        assert stock.maxsize == sos.TERM_MEMO_SIZE
         monkeypatch.setattr(sos, "TERM_MEMO_SIZE", 64)
         alphabet = frozenset({"bound_a", "bound_b", "bound_c"})
         held = sos.engine(alphabet)
@@ -165,7 +168,50 @@ class TestTermMemos:
         assert info.maxsize == 64 and 0 < info.currsize <= 64
         for memo in (sos.tau_closure, sos.visible_successors):
             info = memo.cache_info()
-            assert info.maxsize == size and 0 < info.currsize <= size, memo
+            assert info.maxsize == sos.CLOSURE_MEMO_SIZE, memo
+            assert 0 < info.currsize <= sos.CLOSURE_MEMO_SIZE, memo
+
+
+class TestClosureMemoEviction:
+    """Both closure memos filled past their bound: whatever they evicted and
+    built again, a warm result is the one a cold memo gives."""
+
+    @staticmethod
+    def _misses():
+        return [memo.cache_info().misses for memo in (tau_closure, visible_successors)]
+
+    def _assert_evicted(self, before):
+        for was, now in zip(before, self._misses()):
+            assert now - was > sos.CLOSURE_MEMO_SIZE
+
+    @staticmethod
+    def _cold(compute):
+        tau_closure.cache_clear()
+        visible_successors.cache_clear()
+        return compute()
+
+    def test_generated_pairs(self, abc):
+        pairs = [
+            (term, event)
+            for term in gen_terms(GenConfig(max_size=12, alphabet=abc, seed=46), 1500)
+            for event in sorted(abc)
+        ]
+        random.Random(46).shuffle(pairs)
+        before = self._misses()
+        warm = [(tau_closure(t, abc), visible_successors(t, e, abc)) for t, e in pairs]
+        self._assert_evicted(before)
+        for (term, event), got in zip(pairs, warm):
+            cold = self._cold(lambda: (tau_closure(term, abc), visible_successors(term, event, abc)))
+            assert cold == got, (term, event)
+
+    def test_run(self):
+        spec = interleave_spec("a", "b", 4, 4)
+        trace = tuple("abababababab")
+        before = self._misses()
+        warm = [run(spec.root, trace[:n], spec.alphabet) for n in range(len(trace) + 1)]
+        self._assert_evicted(before)
+        for n, got in enumerate(warm):
+            assert self._cold(lambda: run(spec.root, trace[:n], spec.alphabet)) == got, n
 
 
 class TestInvariants:
